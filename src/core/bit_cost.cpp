@@ -149,7 +149,9 @@ BitCostArrays build_bit_costs(const MultiOutputFunction& g,
         const simd::VecI y = simd::iloadu(gv + x);
         const simd::VecI ap = simd::iloadu(av + x);
         const simd::VecI msb = simd::iand(ap, vabove);
-        simd::VecI d0, d1;
+        // Zero-initialized like the scalar path's distance[], so every
+        // lane is defined even though each case assigns both.
+        simd::VecI d0 = vzero, d1 = vzero;
         switch (model) {
           case LsbModel::kCurrentApprox:
           case LsbModel::kAccurateFill: {

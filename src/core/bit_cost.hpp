@@ -45,8 +45,9 @@ struct BitCostArrays {
   std::vector<double> c0;  ///< weighted cost of approximating bit k as 0
   std::vector<double> c1;  ///< weighted cost of approximating bit k as 1
   /// Process-unique id of the arrays' contents, stamped by build_bit_costs.
-  /// The evaluation engine's gather memo keys on it (core/eval_workspace.hpp);
-  /// 0 means "unknown provenance" and disables caching.
+  /// The evaluation engine keys its per-thread interleaved source mirror on
+  /// it (core/eval_workspace.hpp); 0 means "unknown provenance" and makes
+  /// the gather read c0/c1 directly.
   std::uint64_t epoch = 0;
 };
 

@@ -1,12 +1,8 @@
 #include "core/eval_workspace.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
-#include <cstdlib>
 #include <limits>
-#include <mutex>
-#include <unordered_set>
 
 #include "util/bits.hpp"
 #include "util/simd.hpp"
@@ -189,235 +185,22 @@ inline void pair_accumulate(double* even, double* odd, const double* row,
   }
 }
 
-// ---- Process-wide gather memo -------------------------------------------
+// ---- Gather telemetry ---------------------------------------------------
 
-struct MemoKey {
-  std::uint64_t epoch = 0;
-  std::uint32_t bound_mask = 0;
-  bool operator==(const MemoKey&) const = default;
-};
-
-struct MemoKeyHash {
-  std::size_t operator()(const MemoKey& key) const noexcept {
-    std::uint64_t h = key.epoch * 0x9E3779B97F4A7C15ull;
-    h ^= (h >> 29) ^ (static_cast<std::uint64_t>(key.bound_mask) << 16);
-    h *= 0xBF58476D1CE4E5B9ull;
-    return static_cast<std::size_t>(h ^ (h >> 32));
-  }
-};
-
-struct MemoStats {
-  std::atomic<std::uint64_t> hits{0};
-  std::atomic<std::uint64_t> misses{0};
-  std::atomic<std::uint64_t> evictions{0};
-  std::atomic<std::uint64_t> pending_evictions{0};
-  std::atomic<std::uint64_t> gathers{0};
-  std::atomic<std::uint64_t> slices{0};
-};
-
-MemoStats& memo_stats() {
-  static MemoStats stats;
-  return stats;
-}
-
-/// Registry mirrors of the MemoStats atomics. The atomics stay authoritative
-/// for eval_cache_stats() (reset_eval_cache zeroes them without touching the
-/// registry); these write-only counters feed the exported snapshot.
-struct MemoMetrics {
-  util::telemetry::Counter hits =
-      util::telemetry::Counter::get("evalcache.hits");
-  util::telemetry::Counter misses =
-      util::telemetry::Counter::get("evalcache.misses");
-  util::telemetry::Counter evictions =
-      util::telemetry::Counter::get("evalcache.evictions");
-  util::telemetry::Counter pending_evictions =
-      util::telemetry::Counter::get("evalcache.pending_evictions");
+/// Write-only registry handles for the gather and slice kernels.
+struct GatherMetrics {
   util::telemetry::Counter gathers =
       util::telemetry::Counter::get("evalcache.gathers");
   util::telemetry::Counter slices =
       util::telemetry::Counter::get("evalcache.slices");
 };
 
-MemoMetrics& memo_metrics() {
-  static MemoMetrics metrics;
+GatherMetrics& gather_metrics() {
+  static GatherMetrics metrics;
   return metrics;
 }
 
-std::size_t default_capacity() {
-  if (const char* env = std::getenv("DALUT_EVAL_CACHE_MB")) {
-    return static_cast<std::size_t>(std::strtoull(env, nullptr, 10)) << 20;
-  }
-  return std::size_t{64} << 20;
-}
-
-/// Byte-capped matrix memo keyed by (epoch, bound mask). Entries are shared
-/// so an eviction never invalidates a matrix still in use, and the buffers
-/// of evicted sole-owner entries are recycled into later gathers.
-class GatherMemo {
- public:
-  static GatherMemo& instance() {
-    static GatherMemo memo;
-    return memo;
-  }
-
-  bool enabled() {
-    std::lock_guard lock(mutex_);
-    return capacity_ > 0;
-  }
-
-  std::shared_ptr<const InterleavedCostMatrix> find(const MemoKey& key) {
-    std::lock_guard lock(mutex_);
-    const auto it = map_.find(key);
-    if (it == map_.end()) return nullptr;
-    it->second.seq = ++seq_;
-    return it->second.matrix;
-  }
-
-  /// Two-touch admission: the first sighting of a key only records it and
-  /// keeps the gather in thread-local scratch — the overwhelmingly common
-  /// case (a unique-partition stream) never writes the shared cache. A key
-  /// sighted again is worth retaining, so its gather is published and every
-  /// later access hits. Returns true when the caller should publish.
-  bool promote(const MemoKey& key) {
-    std::lock_guard lock(mutex_);
-    if (seen_.erase(key) != 0) return true;
-    if (seen_.size() >= kMaxSeen) {
-      // Evict a small arbitrary batch rather than flushing the whole set, so
-      // an overflow only delays admission for a handful of pending keys.
-      auto it = seen_.begin();
-      std::uint64_t evicted = 0;
-      for (unsigned i = 0; i < 64 && it != seen_.end(); ++i) {
-        it = seen_.erase(it);
-        ++evicted;
-      }
-      memo_stats().pending_evictions.fetch_add(evicted,
-                                               std::memory_order_relaxed);
-      memo_metrics().pending_evictions.add(evicted);
-    }
-    seen_.insert(key);
-    return false;
-  }
-
-  /// A writable matrix to gather into, recycled from an evicted entry when
-  /// one is available.
-  std::shared_ptr<InterleavedCostMatrix> acquire() {
-    {
-      std::lock_guard lock(mutex_);
-      if (!free_.empty()) {
-        auto matrix = std::move(free_.back());
-        free_.pop_back();
-        return matrix;
-      }
-    }
-    return std::make_shared<InterleavedCostMatrix>();
-  }
-
-  /// Publishes a gathered matrix. If another thread inserted the same key
-  /// concurrently the existing entry wins (contents are identical by
-  /// construction) and `matrix`'s buffer is recycled.
-  std::shared_ptr<const InterleavedCostMatrix> insert(
-      const MemoKey& key, std::shared_ptr<InterleavedCostMatrix> matrix) {
-    std::lock_guard lock(mutex_);
-    const auto it = map_.find(key);
-    if (it != map_.end()) {
-      recycle(std::move(matrix));
-      return it->second.matrix;
-    }
-    bytes_ += entry_bytes(*matrix);
-    auto result =
-        map_.emplace(key, Entry{matrix, ++seq_}).first->second.matrix;
-    while (bytes_ > capacity_ && map_.size() > 1) evict_oldest();
-    return result;
-  }
-
-  void set_capacity(std::size_t bytes) {
-    std::lock_guard lock(mutex_);
-    capacity_ = bytes;
-    while (bytes_ > capacity_ && !map_.empty()) evict_oldest();
-  }
-
-  void reset() {
-    std::lock_guard lock(mutex_);
-    map_.clear();
-    seen_.clear();
-    free_.clear();
-    bytes_ = 0;
-    seq_ = 0;
-    memo_stats().hits = 0;
-    memo_stats().misses = 0;
-    memo_stats().evictions = 0;
-    memo_stats().pending_evictions = 0;
-    memo_stats().gathers = 0;
-    memo_stats().slices = 0;
-  }
-
-  void snapshot(EvalCacheStats& out) {
-    std::lock_guard lock(mutex_);
-    out.entries = map_.size();
-    out.bytes = bytes_;
-  }
-
- private:
-  struct Entry {
-    std::shared_ptr<InterleavedCostMatrix> matrix;
-    std::uint64_t seq = 0;
-  };
-
-  static std::size_t entry_bytes(const InterleavedCostMatrix& matrix) {
-    return matrix.cells.capacity() * sizeof(double) + sizeof(Entry);
-  }
-
-  void recycle(std::shared_ptr<InterleavedCostMatrix> matrix) {
-    if (matrix.use_count() == 1 && free_.size() < kMaxFree) {
-      free_.push_back(std::move(matrix));
-    }
-  }
-
-  void evict_oldest() {
-    auto oldest = map_.begin();
-    for (auto it = map_.begin(); it != map_.end(); ++it) {
-      if (it->second.seq < oldest->second.seq) oldest = it;
-    }
-    bytes_ -= entry_bytes(*oldest->second.matrix);
-    recycle(std::move(oldest->second.matrix));
-    map_.erase(oldest);
-    memo_stats().evictions.fetch_add(1, std::memory_order_relaxed);
-    memo_metrics().evictions.add(1);
-  }
-
-  static constexpr std::size_t kMaxFree = 16;
-  static constexpr std::size_t kMaxSeen = std::size_t{1} << 17;
-
-  std::mutex mutex_;
-  std::unordered_map<MemoKey, Entry, MemoKeyHash> map_;
-  std::unordered_set<MemoKey, MemoKeyHash> seen_;
-  std::vector<std::shared_ptr<InterleavedCostMatrix>> free_;
-  std::size_t bytes_ = 0;
-  std::size_t capacity_ = default_capacity();
-  std::uint64_t seq_ = 0;
-};
-
 }  // namespace
-
-EvalCacheStats eval_cache_stats() {
-  EvalCacheStats stats;
-  auto& counters = memo_stats();
-  stats.hits = counters.hits.load(std::memory_order_relaxed);
-  stats.misses = counters.misses.load(std::memory_order_relaxed);
-  stats.evictions = counters.evictions.load(std::memory_order_relaxed);
-  stats.pending_evictions =
-      counters.pending_evictions.load(std::memory_order_relaxed);
-  stats.gathers = counters.gathers.load(std::memory_order_relaxed);
-  stats.slices = counters.slices.load(std::memory_order_relaxed);
-  GatherMemo::instance().snapshot(stats);
-  return stats;
-}
-
-void reset_eval_cache() { GatherMemo::instance().reset(); }
-
-void set_eval_cache_capacity(std::size_t bytes) {
-  GatherMemo::instance().set_capacity(bytes);
-}
 
 // ---- EvalWorkspace ------------------------------------------------------
 
@@ -477,12 +260,12 @@ const double* EvalWorkspace::interleaved_source(const CostView& costs) {
   return out;
 }
 
-void EvalWorkspace::gather_into(InterleavedCostMatrix& out,
-                                const Partition& partition,
-                                const CostView& costs) {
+const InterleavedCostMatrix& EvalWorkspace::full_matrix(
+    const Partition& partition, const CostView& costs) {
   assert(costs.c0.size() ==
          (std::size_t{1} << partition.num_inputs()));
   assert(costs.c1.size() == costs.c0.size());
+  InterleavedCostMatrix& out = full_scratch_;
   out.rows = partition.num_rows();
   out.cols = partition.num_cols();
   out.cells.resize(2 * out.rows * out.cols);
@@ -502,9 +285,8 @@ void EvalWorkspace::gather_into(InterleavedCostMatrix& out,
                      out.cols,
                      SplitBlockLoader{costs.c0.data(), costs.c1.data()});
     }
-    memo_stats().gathers.fetch_add(1, std::memory_order_relaxed);
-    memo_metrics().gathers.add(1);
-    return;
+    gather_metrics().gathers.add(1);
+    return out;
   }
 
   // deposit_table() may flush its cache when inserting a new entry, which
@@ -543,30 +325,8 @@ void EvalWorkspace::gather_into(InterleavedCostMatrix& out,
       }
     }
   }
-  memo_stats().gathers.fetch_add(1, std::memory_order_relaxed);
-  memo_metrics().gathers.add(1);
-}
-
-MatrixRef EvalWorkspace::full_matrix(const Partition& partition,
-                                     const CostView& costs) {
-  auto& memo = GatherMemo::instance();
-  if (costs.epoch != 0 && memo.enabled()) {
-    const MemoKey key{costs.epoch, partition.bound_mask()};
-    if (auto cached = memo.find(key)) {
-      memo_stats().hits.fetch_add(1, std::memory_order_relaxed);
-      memo_metrics().hits.add(1);
-      return MatrixRef(std::move(cached));
-    }
-    memo_stats().misses.fetch_add(1, std::memory_order_relaxed);
-    memo_metrics().misses.add(1);
-    if (memo.promote(key)) {
-      auto fresh = memo.acquire();
-      gather_into(*fresh, partition, costs);
-      return MatrixRef(memo.insert(key, std::move(fresh)));
-    }
-  }
-  gather_into(full_scratch_, partition, costs);
-  return MatrixRef(&full_scratch_);
+  gather_metrics().gathers.add(1);
+  return out;
 }
 
 const InterleavedCostMatrix& EvalWorkspace::conditioned(
@@ -612,8 +372,7 @@ const InterleavedCostMatrix& EvalWorkspace::conditioned(
       dst[1] = pair[1];
     }
   }
-  memo_stats().slices.fetch_add(1, std::memory_order_relaxed);
-  memo_metrics().slices.add(1);
+  gather_metrics().slices.add(1);
   return cond_scratch_;
 }
 

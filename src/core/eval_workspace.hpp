@@ -27,18 +27,11 @@
 //    each restart's arithmetic (and therefore its result) bit-identical to
 //    the reference implementation in opt_for_part.cpp.
 //
-//  * Gather memo. Full matrices built from epoch-stamped cost arrays (see
-//    BitCostArrays::epoch) can be served from a process-wide, byte-capped
-//    memo keyed by (epoch, bound mask). Admission is two-touch: a key's
-//    first sighting stays in thread-local scratch (unique-partition streams
-//    -- the common case under the SA visited-set dedup and per-round cost
-//    rebuilds -- never write the shared cache), while a partition revisited
-//    under the same cost arrays is published on its second gather and skips
-//    the gather on every access after that. Evicted buffers are recycled,
-//    so the memo allocates nothing in steady state either. Cache contents
-//    are a pure function of the key, so hit/miss timing cannot affect
-//    results: the determinism guarantees of docs/parallelism.md hold at any
-//    worker count.
+//  * No gather memo. The searches see each (cost epoch, partition) pair
+//    about once -- the SA visited-set dedup skips repeats and every
+//    refinement round rebuilds the cost arrays under a fresh epoch -- so a
+//    cache of gathered matrices almost never hits (docs/performance.md).
+//    Every full_matrix() call gathers into thread-local scratch.
 //
 //  * Conditioned slicing. The conditioned matrices of the non-disjoint and
 //    multi-shared modes are column slices of the full matrix, so they are
@@ -51,7 +44,6 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -65,8 +57,9 @@
 namespace dalut::core {
 
 /// Lightweight view of one output bit's cost arrays. `epoch` identifies the
-/// arrays' contents for the gather memo; 0 (the default for raw spans) means
-/// "unknown provenance" and disables caching for the call.
+/// arrays' contents for the per-thread interleaved source mirror; 0 (the
+/// default for raw spans) means "unknown provenance" and makes the gather
+/// read the split arrays directly.
 struct CostView {
   std::span<const double> c0;
   std::span<const double> c1;
@@ -98,54 +91,20 @@ struct InterleavedCostMatrix {
   }
 };
 
-/// Handle to a full matrix: either a thread-local scratch buffer (valid
-/// until the next full_matrix() call on the same thread) or a shared memo
-/// entry kept alive by the handle.
-class MatrixRef {
- public:
-  const InterleavedCostMatrix& get() const noexcept { return *matrix_; }
-  // NOLINTNEXTLINE(google-explicit-constructor): handle acts as the matrix.
-  operator const InterleavedCostMatrix&() const noexcept { return *matrix_; }
-
- private:
-  friend class EvalWorkspace;
-  explicit MatrixRef(const InterleavedCostMatrix* matrix) noexcept
-      : matrix_(matrix) {}
-  explicit MatrixRef(std::shared_ptr<const InterleavedCostMatrix> owned)
-      : matrix_(owned.get()), owned_(std::move(owned)) {}
-
-  const InterleavedCostMatrix* matrix_;
-  std::shared_ptr<const InterleavedCostMatrix> owned_;
-};
-
-/// Counters of the process-wide gather memo and gather kernels.
-struct EvalCacheStats {
-  std::uint64_t hits = 0;        ///< full-matrix builds served from the memo
-  std::uint64_t misses = 0;      ///< memo lookups that had to gather
-  std::uint64_t evictions = 0;   ///< entries dropped to stay under the cap
-  std::uint64_t pending_evictions = 0;  ///< two-touch pending keys batch-evicted
-  std::uint64_t gathers = 0;     ///< scattered full-matrix gathers performed
-  std::uint64_t slices = 0;      ///< conditioned matrices sliced
-  std::uint64_t entries = 0;     ///< live memo entries
-  std::uint64_t bytes = 0;       ///< bytes held by live memo entries
-};
-
-EvalCacheStats eval_cache_stats();
-/// Drops every memo entry and zeroes the counters (tests and benchmarks).
-void reset_eval_cache();
-/// Overrides the memo byte budget (default 64 MiB, or the
-/// DALUT_EVAL_CACHE_MB environment variable; 0 disables the memo).
-void set_eval_cache_capacity(std::size_t bytes);
+/// Former name of the full_matrix() result type, kept as an alias because
+/// the benchmark sources under perfbench/ still spell it.
+using MatrixRef = const InterleavedCostMatrix&;
 
 class EvalWorkspace {
  public:
   /// The calling thread's workspace (created on first use, reused after).
   static EvalWorkspace& local();
 
-  /// Full cost matrix of `partition` under `costs`: from the memo when
-  /// `costs.epoch` != 0 and the memo is enabled, otherwise gathered into
-  /// thread-local scratch (valid until the next full_matrix() call).
-  MatrixRef full_matrix(const Partition& partition, const CostView& costs);
+  /// Full cost matrix of `partition` under `costs`, gathered into
+  /// thread-local scratch. The reference is valid until the next
+  /// full_matrix() call on this thread.
+  const InterleavedCostMatrix& full_matrix(const Partition& partition,
+                                           const CostView& costs);
 
   /// Conditioned matrix (the |C| >= 1 generalization of Sec. IV-B1) sliced
   /// from an already-built full matrix of `partition`. `shared_mask` selects
@@ -185,8 +144,6 @@ class EvalWorkspace {
   const std::vector<InputWord>& deposit_table(std::uint32_t mask);
   /// Interleaved copy of the epoch's cost arrays (nullptr when epoch == 0).
   const double* interleaved_source(const CostView& costs);
-  void gather_into(InterleavedCostMatrix& out, const Partition& partition,
-                   const CostView& costs);
 
   unsigned restart_block(std::size_t rows, std::size_t cols,
                          unsigned restarts) const;

@@ -76,7 +76,7 @@ MultiSharedSetting optimize_for_shared_set(const Partition& partition,
   for (const unsigned bit : shared) shared_mask |= std::uint32_t{1} << bit;
 
   auto& workspace = EvalWorkspace::local();
-  const MatrixRef full = workspace.full_matrix(partition, costs);
+  const auto& full = workspace.full_matrix(partition, costs);
   for (std::size_t j = 0; j < assignments; ++j) {
     auto vt = shared.empty()
                   ? workspace.opt_for_part(full, params, rng)

@@ -7,7 +7,7 @@ namespace dalut::core {
 Setting optimize_normal(const Partition& partition, const CostView& costs,
                         const OptForPartParams& params, util::Rng& rng) {
   auto& workspace = EvalWorkspace::local();
-  const MatrixRef matrix = workspace.full_matrix(partition, costs);
+  const auto& matrix = workspace.full_matrix(partition, costs);
   auto vt = workspace.opt_for_part(matrix, params, rng);
 
   Setting setting;
@@ -21,7 +21,7 @@ Setting optimize_normal(const Partition& partition, const CostView& costs,
 
 Setting optimize_bto(const Partition& partition, const CostView& costs) {
   auto& workspace = EvalWorkspace::local();
-  const MatrixRef matrix = workspace.full_matrix(partition, costs);
+  const auto& matrix = workspace.full_matrix(partition, costs);
   auto vt = workspace.opt_for_part_bto(matrix);
 
   Setting setting;
@@ -40,7 +40,7 @@ Setting optimize_nondisjoint(const Partition& partition,
   // One full gather; every conditional sub-matrix below is a column slice
   // of it. RNG consumption order (x_s = 0 then x_s = 1, bound inputs
   // ascending) matches the per-pair builds this replaces.
-  const MatrixRef full = workspace.full_matrix(partition, costs);
+  const auto& full = workspace.full_matrix(partition, costs);
 
   Setting best;
   best.error = std::numeric_limits<double>::infinity();

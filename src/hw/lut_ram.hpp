@@ -30,6 +30,11 @@ class LutRam {
     return contents_[addr & addr_mask_];
   }
 
+  /// All 2^addr_bits words, in address order.
+  const std::vector<std::uint32_t>& contents() const noexcept {
+    return contents_;
+  }
+
   /// Mask selecting the addr_bits address lines (entries() - 1).
   std::uint32_t addr_mask() const noexcept { return addr_mask_; }
 

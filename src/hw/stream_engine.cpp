@@ -1,5 +1,6 @@
 #include "hw/stream_engine.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <stdexcept>
 #include <thread>
@@ -106,10 +107,8 @@ void StreamTarget::fill_image(TableImage& image,
 
 void StreamTarget::fill_image(TableImage& image,
                               const MonolithicLut& lut) const {
-  const std::size_t entries = lut.ram().entries();
-  for (std::size_t i = 0; i < entries; ++i) {
-    image.words_[i] = lut.ram().read(static_cast<std::uint32_t>(i));
-  }
+  const auto& contents = lut.ram().contents();
+  std::copy(contents.begin(), contents.end(), image.words_.begin());
 }
 
 void StreamTarget::check_shape(const ApproxLutSystem& system) const {

@@ -1,6 +1,5 @@
 // Equivalence tests for the EvalWorkspace evaluation engine: every kernel
-// must reproduce the reference CostMatrix / opt_for_part path bit-for-bit,
-// and the gather memo must serve revisited partitions without re-gathering.
+// must reproduce the reference CostMatrix / opt_for_part path bit-for-bit.
 #include "core/eval_workspace.hpp"
 
 #include <gtest/gtest.h>
@@ -64,11 +63,34 @@ TEST(EvalWorkspace, FullMatrixMatchesReferenceBuild) {
   for (unsigned bound = 2; bound <= 6; ++bound) {
     const auto p = Partition::random(fx.num_inputs, bound, rng);
     const auto reference = CostMatrix::build(p, fx.c0, fx.c1);
-    // Unstamped view: scratch path.
+    // Unstamped view: split source arrays.
     expect_same_matrix(workspace.full_matrix(p, fx.view()), reference);
-    // Stamped view: interleaved source + memo path.
+    // Stamped view: interleaved source mirror.
     expect_same_matrix(workspace.full_matrix(p, fx.stamped()), reference);
   }
+
+  // Nothing is cached across calls: the same stamped partition requested
+  // three times is gathered three times, each time equal to the reference,
+  // and one conditioned slice counts one slice.
+  const auto p = Partition::random(fx.num_inputs, 4, rng);
+  const auto reference = CostMatrix::build(p, fx.c0, fx.c1);
+  const CostView stamped = fx.stamped();
+  util::telemetry::reset_metrics_for_test();
+  util::telemetry::set_metrics_enabled(true);
+  for (int i = 0; i < 3; ++i) {
+    expect_same_matrix(workspace.full_matrix(p, stamped), reference);
+  }
+  auto snap = util::telemetry::snapshot_metrics();
+  EXPECT_EQ(snap.counter_value("evalcache.gathers"), 3u);
+  EXPECT_EQ(snap.counter_value("evalcache.slices"), 0u);
+  const std::uint32_t shared = p.bound_mask() & (~p.bound_mask() + 1);
+  (void)workspace.conditioned(workspace.full_matrix(p, stamped), p, shared,
+                              0);
+  snap = util::telemetry::snapshot_metrics();
+  EXPECT_EQ(snap.counter_value("evalcache.gathers"), 4u);
+  EXPECT_EQ(snap.counter_value("evalcache.slices"), 1u);
+  util::telemetry::set_metrics_enabled(false);
+  util::telemetry::reset_metrics_for_test();
 }
 
 // Regression: the per-thread deposit-table cache flushes wholesale once it
@@ -112,7 +134,7 @@ TEST(EvalWorkspace, ConditionedSliceMatchesReferenceBuilds) {
   util::Rng rng(2);
   auto& workspace = EvalWorkspace::local();
   const auto p = Partition::random(fx.num_inputs, 4, rng);
-  const MatrixRef full = workspace.full_matrix(p, fx.view());
+  const auto& full = workspace.full_matrix(p, fx.view());
 
   for (const unsigned shared : p.bound_inputs()) {
     const std::uint32_t mask = std::uint32_t{1} << shared;
@@ -201,7 +223,7 @@ TEST(EvalWorkspace, EvaluateVtMatchesReference) {
   const auto reference_matrix = CostMatrix::build(p, fx.c0, fx.c1);
   const auto vt = opt_for_part(reference_matrix, {8, 64}, rng);
 
-  const MatrixRef matrix = workspace.full_matrix(p, fx.view());
+  const auto& matrix = workspace.full_matrix(p, fx.view());
   EXPECT_EQ(workspace.evaluate_vt(matrix, vt.pattern, vt.types),
             evaluate_vt(reference_matrix, vt.pattern, vt.types));
 }
@@ -306,116 +328,6 @@ TEST(EvalWorkspace, MultiSharedBitIdenticalToLegacyPath) {
   EXPECT_EQ(actual.error, expected.error);
   EXPECT_EQ(actual.patterns, expected.patterns);
   EXPECT_EQ(actual.types, expected.types);
-}
-
-TEST(EvalWorkspaceCache, RevisitedPartitionSkipsTheGather) {
-  const CostFixture fx(8, 21);
-  util::Rng rng(12);
-  auto& workspace = EvalWorkspace::local();
-  const auto p = Partition::random(fx.num_inputs, 4, rng);
-  const CostView stamped = fx.stamped();
-
-  // The registry mirrors of the memo counters must advance in lock-step
-  // with the MemoStats the cache itself reports.
-  util::telemetry::reset_metrics_for_test();
-  util::telemetry::set_metrics_enabled(true);
-
-  // Two-touch admission: the first sighting stays in thread-local scratch,
-  // the second publishes the gather, and every later access is a hit that
-  // skips the gather entirely.
-  reset_eval_cache();
-  const auto m1 = workspace.full_matrix(p, stamped);
-  const auto after_first = eval_cache_stats();
-  EXPECT_EQ(after_first.misses, 1u);
-  EXPECT_EQ(after_first.gathers, 1u);
-  EXPECT_EQ(after_first.entries, 0u);
-
-  const auto m2 = workspace.full_matrix(p, stamped);
-  const auto after_second = eval_cache_stats();
-  EXPECT_EQ(after_second.misses, 2u);
-  EXPECT_EQ(after_second.gathers, 2u);
-  EXPECT_EQ(after_second.entries, 1u);
-
-  // Same epoch + same bound mask: memo hit, no new gather.
-  const auto m3 = workspace.full_matrix(p, stamped);
-  const auto m4 = workspace.full_matrix(p, stamped);
-  const auto after_hits = eval_cache_stats();
-  EXPECT_EQ(after_hits.hits, 2u);
-  EXPECT_EQ(after_hits.gathers, 2u);
-  EXPECT_EQ(&m2.get(), &m3.get());
-  EXPECT_EQ(&m3.get(), &m4.get());
-  expect_same_matrix(m1, CostMatrix::build(p, fx.c0, fx.c1));
-  expect_same_matrix(m3, CostMatrix::build(p, fx.c0, fx.c1));
-
-  // A fresh epoch over the same arrays must not be served from the memo.
-  const auto m5 = workspace.full_matrix(p, fx.stamped());
-  const auto after_fresh = eval_cache_stats();
-  EXPECT_EQ(after_fresh.hits, 2u);
-  EXPECT_EQ(after_fresh.misses, 3u);
-  EXPECT_EQ(after_fresh.gathers, 3u);
-  expect_same_matrix(m5, CostMatrix::build(p, fx.c0, fx.c1));
-
-  // Registry counters saw the same stream (reset_eval_cache zeroes only the
-  // MemoStats atomics; the registry was reset at the top of the test).
-  const auto snap = util::telemetry::snapshot_metrics();
-  EXPECT_EQ(snap.counter_value("evalcache.hits"), 2u);
-  EXPECT_EQ(snap.counter_value("evalcache.misses"), 3u);
-  EXPECT_EQ(snap.counter_value("evalcache.gathers"), 3u);
-  EXPECT_EQ(snap.counter_value("evalcache.evictions"), 0u);
-  util::telemetry::set_metrics_enabled(false);
-  util::telemetry::reset_metrics_for_test();
-  reset_eval_cache();
-}
-
-TEST(EvalWorkspaceCache, PendingSetOverflowEvictsABoundedBatch) {
-  // Overflow the two-touch pending set: every distinct epoch creates a new
-  // (epoch, mask) key that is seen once and never promoted. One insert past
-  // kMaxSeen (1 << 17) evicts exactly one bounded batch of 64 pending keys.
-  const CostFixture fx(4, 23);  // 16-entry domain keeps each gather trivial
-  util::Rng rng(14);
-  auto& workspace = EvalWorkspace::local();
-  const auto p = Partition::random(fx.num_inputs, 2, rng);
-
-  util::telemetry::reset_metrics_for_test();
-  util::telemetry::set_metrics_enabled(true);
-  reset_eval_cache();
-
-  constexpr std::size_t kMaxSeen = std::size_t{1} << 17;
-  for (std::size_t i = 0; i < kMaxSeen + 1; ++i) {
-    (void)workspace.full_matrix(p, fx.stamped());
-  }
-  const auto stats = eval_cache_stats();
-  EXPECT_EQ(stats.pending_evictions, 64u);
-  EXPECT_EQ(stats.hits, 0u);
-  EXPECT_EQ(stats.misses, kMaxSeen + 1);
-  EXPECT_EQ(stats.entries, 0u);  // nothing was ever sighted twice
-  EXPECT_EQ(util::telemetry::snapshot_metrics().counter_value(
-                "evalcache.pending_evictions"),
-            64u);
-
-  util::telemetry::set_metrics_enabled(false);
-  util::telemetry::reset_metrics_for_test();
-  reset_eval_cache();
-}
-
-TEST(EvalWorkspaceCache, ZeroCapacityDisablesTheMemo) {
-  const CostFixture fx(8, 22);
-  util::Rng rng(13);
-  auto& workspace = EvalWorkspace::local();
-  const auto p = Partition::random(fx.num_inputs, 4, rng);
-  const CostView stamped = fx.stamped();
-
-  reset_eval_cache();
-  set_eval_cache_capacity(0);
-  (void)workspace.full_matrix(p, stamped);
-  (void)workspace.full_matrix(p, stamped);
-  const auto stats = eval_cache_stats();
-  EXPECT_EQ(stats.hits, 0u);
-  EXPECT_EQ(stats.entries, 0u);
-  EXPECT_EQ(stats.gathers, 2u);
-
-  set_eval_cache_capacity(std::size_t{64} << 20);
-  reset_eval_cache();
 }
 
 }  // namespace

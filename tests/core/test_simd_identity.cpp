@@ -54,8 +54,8 @@ struct CostFixture {
   CostView stamped() const { return CostView(c0, c1, next_cost_epoch()); }
 };
 
-/// Owned copy of a workspace matrix (the MatrixRef target is scratch that
-/// the next full_matrix call overwrites).
+/// Owned copy of a workspace matrix (full_matrix returns scratch that the
+/// next full_matrix call overwrites).
 struct MatrixSnapshot {
   std::size_t rows = 0;
   std::size_t cols = 0;
@@ -99,8 +99,8 @@ TEST(SimdIdentity, CostMatrixGatherMatchesScalar) {
       std::vector<MatrixSnapshot> scalar;
       {
         ScopedForceScalar scoped(true);
-        // Unstamped view: scratch/split gather. Stamped: interleaved-source
-        // gather (fresh epoch per call, so the memo never serves a repeat).
+        // Unstamped view: split-array gather. Stamped: interleaved-source
+        // gather.
         scalar.emplace_back(workspace.full_matrix(p, fx.view()));
         scalar.emplace_back(workspace.full_matrix(p, fx.stamped()));
       }

@@ -49,7 +49,6 @@
 #include "core/bssa.hpp"
 #include "core/checkpoint.hpp"
 #include "core/dalta.hpp"
-#include "core/eval_workspace.hpp"
 #include "core/serialize.hpp"
 #include "core/table_io.hpp"
 #include "func/extended.hpp"
@@ -575,13 +574,6 @@ int run(int argc, char** argv) {
   // the metrics snapshot below.
   events.close();
   if (!metrics_out.empty()) {
-    // Cache occupancy is a point-in-time value, published as gauges just
-    // before export.
-    const auto cache = core::eval_cache_stats();
-    util::telemetry::Gauge::get("evalcache.entries")
-        .set(static_cast<double>(cache.entries));
-    util::telemetry::Gauge::get("evalcache.bytes")
-        .set(static_cast<double>(cache.bytes));
     std::ofstream out(metrics_out);
     if (!out) {
       std::fprintf(stderr, "io error: cannot write metrics to '%s': %s\n",
