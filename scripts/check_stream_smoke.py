@@ -15,7 +15,10 @@ Asserts that:
      the committed BENCH_PR10.json records reference numbers), and
   4. every requested mid-stream reconfiguration was observed by the
      consumer and its measured latency fields are sane
-     (0 < min <= mean <= max).
+     (0 < min <= mean <= max), and
+  5. the config records the host's CPU count and whether the run was
+     oversubscribed (producers + consumer + reconfiguration writer >
+     host_cpus), so oversubscribed rows can be told apart.
 """
 
 import json
@@ -35,6 +38,11 @@ def main() -> int:
         assert key in config, f"config missing {key}"
     assert config["producers"] >= 1
     assert config["reconfigs"] >= 1
+    for key in ("host_cpus", "oversubscribed"):
+        assert key in config, f"config missing {key}"
+    assert isinstance(config["oversubscribed"], bool), config
+    assert config["oversubscribed"] == (
+        config["producers"] + 2 > config["host_cpus"]), config
 
     rows = {row["target"]: row for row in report["stream"]}
     missing = EXPECTED_TARGETS - rows.keys()

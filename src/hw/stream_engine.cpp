@@ -13,10 +13,27 @@ namespace dalut::hw {
 
 namespace {
 
-/// Copies a unit table into the arena at `off` (shape already validated).
-void copy_table(util::aligned_vector<std::uint8_t>& arena, std::size_t off,
-                const std::vector<std::uint8_t>& table) {
-  for (std::size_t i = 0; i < table.size(); ++i) arena[off + i] = table[i];
+/// Input bits resolved by one block of 256 index entries.
+constexpr unsigned kIndexChunkBits = 8;
+constexpr std::size_t kIndexBlock = std::size_t{1} << kIndexChunkBits;
+
+/// Samples per index pass of eval_batch (a stack buffer of entries).
+constexpr std::size_t kIndexTile = 256;
+
+/// entry[i] = one unit's column (low half) and doubled free-table row (high
+/// half) for input x[i]: one index-table load per input byte, OR-combined.
+/// Chunks outer, samples inner keeps each pass a plain load-OR loop.
+void unit_entries(const std::uint64_t* index, unsigned chunks,
+                  const core::InputWord* x, std::uint64_t* entry,
+                  std::size_t count) noexcept {
+  for (std::size_t i = 0; i < count; ++i) entry[i] = 0;
+  for (unsigned c = 0; c < chunks; ++c) {
+    const std::uint64_t* block = index + c * kIndexBlock;
+    const unsigned shift = c * kIndexChunkBits;
+    for (std::size_t i = 0; i < count; ++i) {
+      entry[i] |= block[(x[i] >> shift) & (kIndexBlock - 1)];
+    }
+  }
 }
 
 }  // namespace
@@ -28,6 +45,8 @@ StreamTarget::StreamTarget(StreamTarget&& other) noexcept
       num_outputs_(other.num_outputs_),
       static_read_energy_(other.static_read_energy_),
       units_(std::move(other.units_)),
+      index_(std::move(other.index_)),
+      index_chunks_(other.index_chunks_),
       monolithic_(other.monolithic_),
       mono_addr_bits_(other.mono_addr_bits_),
       mono_width_(other.mono_width_),
@@ -45,6 +64,11 @@ StreamTarget StreamTarget::compile(const ApproxLutSystem& system) {
   target.static_read_energy_ = system.cost().read_energy;
   target.monolithic_ = false;
 
+  const unsigned chunks =
+      (target.num_inputs_ + kIndexChunkBits - 1) / kIndexChunkBits;
+  target.index_chunks_ = chunks;
+  target.index_.resize(system.units().size() * chunks * kIndexBlock);
+
   std::size_t arena_size = 0;
   target.units_.reserve(system.units().size());
   for (const auto& unit : system.units()) {
@@ -53,8 +77,19 @@ StreamTarget StreamTarget::compile(const ApproxLutSystem& system) {
     CompiledUnit compiled;
     compiled.mode = bit.mode();
     compiled.bound_mask = p.bound_mask();
-    compiled.free_mask = p.free_mask();
     compiled.shared_bit = bit.shared_bit();
+    compiled.index_off = target.units_.size() * chunks * kIndexBlock;
+    // Built with extract_bits itself, so col / row equal the scalar
+    // Partition::col_of / row_of by construction.
+    for (unsigned c = 0; c < chunks; ++c) {
+      for (std::size_t b = 0; b < kIndexBlock; ++b) {
+        const std::uint64_t word = std::uint64_t{b} << (c * kIndexChunkBits);
+        const std::uint64_t col = util::extract_bits(word, p.bound_mask());
+        const std::uint64_t row = util::extract_bits(word, p.free_mask());
+        target.index_[compiled.index_off + c * kIndexBlock + b] =
+            col | ((row << 1) << 32);
+      }
+    }
     compiled.bound_size = bit.bound_table().size();
     compiled.free_size = bit.free_table0().size();
     compiled.bound_off = arena_size;
@@ -99,9 +134,13 @@ void StreamTarget::fill_image(TableImage& image,
     const CompiledUnit& compiled = units_[k];
     const core::DecomposedBit& bit =
         system.units()[k].decomposition();
-    copy_table(image.bytes_, compiled.bound_off, bit.bound_table());
-    copy_table(image.bytes_, compiled.free0_off, bit.free_table0());
-    copy_table(image.bytes_, compiled.free1_off, bit.free_table1());
+    const auto arena = image.bytes_.begin();
+    std::copy(bit.bound_table().begin(), bit.bound_table().end(),
+              arena + static_cast<std::ptrdiff_t>(compiled.bound_off));
+    std::copy(bit.free_table0().begin(), bit.free_table0().end(),
+              arena + static_cast<std::ptrdiff_t>(compiled.free0_off));
+    std::copy(bit.free_table1().begin(), bit.free_table1().end(),
+              arena + static_cast<std::ptrdiff_t>(compiled.free1_off));
   }
 }
 
@@ -145,15 +184,20 @@ void StreamTarget::check_shape(const MonolithicLut& lut) const {
 
 // ---- Epoch protocol -----------------------------------------------------
 
-TableImage& StreamTarget::begin_update() {
+TableImage& StreamTarget::inactive_image() {
   const std::uint64_t published = published_.load(std::memory_order_acquire);
   // The inactive image may still be under a batch that acquired the
   // previous epoch; wait until the consumer retires it.
   while (applied_.load(std::memory_order_acquire) < published) {
     std::this_thread::yield();
   }
-  TableImage& next = images_[(published + 1) & 1];
-  const TableImage& active = images_[published & 1];
+  return images_[(published + 1) & 1];
+}
+
+TableImage& StreamTarget::begin_update() {
+  TableImage& next = inactive_image();
+  const TableImage& active =
+      images_[published_.load(std::memory_order_relaxed) & 1];
   next.bytes_ = active.bytes_;
   next.words_ = active.words_;
   return next;
@@ -163,17 +207,17 @@ std::uint64_t StreamTarget::commit_update() noexcept {
   return published_.fetch_add(1, std::memory_order_release) + 1;
 }
 
+// Both fill_image overloads overwrite the whole image, so the swaps skip
+// begin_update()'s copy of the active contents.
 std::uint64_t StreamTarget::reconfigure(const ApproxLutSystem& system) {
   check_shape(system);
-  TableImage& next = begin_update();
-  fill_image(next, system);
+  fill_image(inactive_image(), system);
   return commit_update();
 }
 
 std::uint64_t StreamTarget::reconfigure(const MonolithicLut& lut) {
   check_shape(lut);
-  TableImage& next = begin_update();
-  fill_image(next, lut);
+  fill_image(inactive_image(), lut);
   return commit_update();
 }
 
@@ -194,54 +238,60 @@ void StreamTarget::eval_batch(const TableImage& image,
     return;
   }
 
-  // Structure of arrays: units outer, samples inner, so one unit's tables
-  // and masks stay register/cache resident across the whole batch and each
-  // unit contributes its output bit with a branch-free OR. The table reads
-  // are data-dependent byte gathers, which is why the loops stay scalar
-  // (util/simd.hpp has no gather granule); util::extract_bits compiles to
-  // a short dependency chain per set mask bit.
-  for (std::size_t i = 0; i < count; ++i) y[i] = 0;
+  // Structure of arrays: per tile of samples, units outer and samples
+  // inner, so one unit's index and content tables stay cache resident
+  // across the tile. A unit first resolves every sample's column and row
+  // with one index-table load per input byte (see index_), then reads its
+  // data-dependent table bytes; those gathers are why the loops stay scalar
+  // (util/simd.hpp has no gather granule). Every select is arithmetic, not
+  // a branch: on random inputs a `? :` on a table bit mispredicts half the
+  // time.
   const std::uint8_t* bytes = image.bytes_.data();
-  for (std::size_t k = 0; k < units_.size(); ++k) {
-    const CompiledUnit& unit = units_[k];
-    const std::uint8_t* bound = bytes + unit.bound_off;
-    const core::OutputWord bit_at_k = core::OutputWord{1} << k;
-    switch (unit.mode) {
-      case core::DecompMode::kBto: {
-        const std::uint32_t bound_mask = unit.bound_mask;
-        for (std::size_t i = 0; i < count; ++i) {
-          const std::uint64_t col = util::extract_bits(x[i], bound_mask);
-          y[i] |= bound[col] != 0 ? bit_at_k : 0;
+  std::uint64_t entry[kIndexTile];
+  for (std::size_t base = 0; base < count; base += kIndexTile) {
+    const std::size_t tile = std::min(kIndexTile, count - base);
+    const core::InputWord* xt = x + base;
+    core::OutputWord* yt = y + base;
+    for (std::size_t i = 0; i < tile; ++i) yt[i] = 0;
+    for (std::size_t k = 0; k < units_.size(); ++k) {
+      const CompiledUnit& unit = units_[k];
+      unit_entries(index_.data() + unit.index_off, index_chunks_, xt, entry,
+                   tile);
+      const std::uint8_t* bound = bytes + unit.bound_off;
+      switch (unit.mode) {
+        case core::DecompMode::kBto: {
+          for (std::size_t i = 0; i < tile; ++i) {
+            const std::uint32_t col = static_cast<std::uint32_t>(entry[i]);
+            yt[i] |= core::OutputWord(bound[col] != 0) << k;
+          }
+          break;
         }
-        break;
-      }
-      case core::DecompMode::kNormal: {
-        const std::uint8_t* free0 = bytes + unit.free0_off;
-        const std::uint32_t bound_mask = unit.bound_mask;
-        const std::uint32_t free_mask = unit.free_mask;
-        for (std::size_t i = 0; i < count; ++i) {
-          const std::uint64_t col = util::extract_bits(x[i], bound_mask);
-          const std::uint64_t row = util::extract_bits(x[i], free_mask);
-          const std::uint64_t phi = bound[col] != 0 ? 1u : 0u;
-          y[i] |= free0[(row << 1) | phi] != 0 ? bit_at_k : 0;
+        case core::DecompMode::kNormal: {
+          const std::uint8_t* free0 = bytes + unit.free0_off;
+          for (std::size_t i = 0; i < tile; ++i) {
+            const std::uint64_t phi =
+                bound[static_cast<std::uint32_t>(entry[i])] != 0;
+            yt[i] |= core::OutputWord(free0[(entry[i] >> 32) | phi] != 0)
+                     << k;
+          }
+          break;
         }
-        break;
-      }
-      case core::DecompMode::kNonDisjoint: {
-        const std::uint8_t* free0 = bytes + unit.free0_off;
-        const std::uint8_t* free1 = bytes + unit.free1_off;
-        const std::uint32_t bound_mask = unit.bound_mask;
-        const std::uint32_t free_mask = unit.free_mask;
-        const unsigned shared_bit = unit.shared_bit;
-        for (std::size_t i = 0; i < count; ++i) {
-          const std::uint64_t col = util::extract_bits(x[i], bound_mask);
-          const std::uint64_t row = util::extract_bits(x[i], free_mask);
-          const std::uint64_t phi = bound[col] != 0 ? 1u : 0u;
-          const std::uint8_t* table =
-              ((x[i] >> shared_bit) & 1u) != 0 ? free1 : free0;
-          y[i] |= table[(row << 1) | phi] != 0 ? bit_at_k : 0;
+        case core::DecompMode::kNonDisjoint: {
+          const std::uint8_t* free0 = bytes + unit.free0_off;
+          const std::uint8_t* free1 = bytes + unit.free1_off;
+          const unsigned shared_bit = unit.shared_bit;
+          for (std::size_t i = 0; i < tile; ++i) {
+            const std::uint64_t phi =
+                bound[static_cast<std::uint32_t>(entry[i])] != 0;
+            const std::uint64_t slot = (entry[i] >> 32) | phi;
+            // x_s picks free1 over free0 by masking, both bytes loaded.
+            const unsigned xs = (xt[i] >> shared_bit) & 1u;
+            const unsigned value =
+                (free0[slot] & (xs - 1u)) | (free1[slot] & (0u - xs));
+            yt[i] |= core::OutputWord(value != 0) << k;
+          }
+          break;
         }
-        break;
       }
     }
   }

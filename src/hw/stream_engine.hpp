@@ -4,11 +4,13 @@
 // The cycle-accurate simulator (hw/simulator) verifies one read at a time
 // through a std::function hop. This layer is its throughput backend: a
 // StreamTarget *compiles* a programmed ApproxLutSystem / MonolithicLut into
-// flat table arenas plus per-unit partition masks, so a whole batch of
-// sample words is evaluated by devirtualized structure-of-arrays kernels —
-// no indirect call, no virtual dispatch, tables hot in cache across the
-// batch. Accounting (reads, energy, output toggles, mismatches) replays the
-// exact per-sample arithmetic of simulate(), in the same order, so a
+// flat table arenas plus per-unit byte-split index tables (the partition's
+// column/row extraction, precomputed per input byte), so a whole batch of
+// sample words is evaluated by devirtualized, branch-free structure-of-arrays
+// kernels — no indirect call, no virtual dispatch, no per-bit PEXT loop,
+// tables hot in cache across the batch. Accounting (reads, energy, output
+// toggles, mismatches) replays the exact per-sample arithmetic of
+// simulate(), in the same order, so a
 // StreamEngine report is bit-identical to the scalar loop on the same
 // sequence: a drop-in faster backend, not a fork.
 //
@@ -68,7 +70,7 @@ class TableImage {
 /// re-programming the DFF arrays of the physical LUTs.
 class StreamTarget {
  public:
-  /// Compiles the system's units (partition masks, modes, table offsets)
+  /// Compiles the system's units (index tables, modes, table offsets)
   /// and snapshots its contents into epoch 0's image.
   static StreamTarget compile(const ApproxLutSystem& system);
   static StreamTarget compile(const MonolithicLut& lut, unsigned num_outputs);
@@ -110,10 +112,12 @@ class StreamTarget {
   /// epoch. In-flight batches finish on the old image.
   std::uint64_t commit_update() noexcept;
 
-  /// Shape-checked whole-target content swaps built on begin/commit: the
+  /// Shape-checked whole-target content swaps built on commit_update(): the
   /// source must match the compiled structure exactly (same units,
   /// partitions, modes / same geometry and shifts). Throws
-  /// std::invalid_argument otherwise. Returns the new epoch.
+  /// std::invalid_argument otherwise. They overwrite every byte of the
+  /// inactive image, so unlike begin_update() they skip the copy of the
+  /// active contents (same retire wait). Returns the new epoch.
   std::uint64_t reconfigure(const ApproxLutSystem& system);
   std::uint64_t reconfigure(const MonolithicLut& lut);
 
@@ -139,8 +143,8 @@ class StreamTarget {
   struct CompiledUnit {
     core::DecompMode mode = core::DecompMode::kNormal;
     std::uint32_t bound_mask = 0;  ///< partition bound set (col packing)
-    std::uint32_t free_mask = 0;   ///< partition free set (row packing)
     unsigned shared_bit = 0;       ///< ND x_s input index
+    std::size_t index_off = 0;     ///< offset into index_
     std::size_t bound_off = 0;     ///< offsets into TableImage::bytes_
     std::size_t free0_off = 0;
     std::size_t free1_off = 0;
@@ -148,6 +152,9 @@ class StreamTarget {
     std::size_t free_size = 0;
   };
 
+  /// Waits until the consumer retired the published epoch and returns the
+  /// inactive image, contents unspecified.
+  TableImage& inactive_image();
   void fill_image(TableImage& image, const ApproxLutSystem& system) const;
   void fill_image(TableImage& image, const MonolithicLut& lut) const;
   void check_shape(const ApproxLutSystem& system) const;
@@ -159,6 +166,14 @@ class StreamTarget {
 
   // Approx form: one CompiledUnit per output bit, tables in bytes_.
   std::vector<CompiledUnit> units_;
+  // Byte-split index tables, index_chunks_ blocks of 256 entries per unit:
+  // entry [c][b] holds col | (row << 1) << 32 for input byte c == b, with
+  // col / row the extract_bits of that byte under the bound / free mask.
+  // PEXT is linear over disjoint bit chunks, so OR-ing one entry per input
+  // byte yields the read's column (low half) and free-table row offset
+  // (high half). Structure, not contents: reconfiguration never touches it.
+  std::vector<std::uint64_t> index_;
+  unsigned index_chunks_ = 0;
   // Monolithic form: packed words plus the read transform.
   bool monolithic_ = false;
   unsigned mono_addr_bits_ = 0;

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -79,6 +81,83 @@ core::ApproxLut all_modes_lut() {
   return core::ApproxLut::realize(n, {normal, bto, nd});
 }
 
+/// A random partition of n inputs with `bound_size` bound bits, `forced`
+/// among them.
+core::Partition random_partition(unsigned n, unsigned bound_size,
+                                 std::uint32_t forced, util::Rng& rng) {
+  std::uint32_t mask = forced;
+  while (static_cast<unsigned>(std::popcount(mask)) < bound_size) {
+    mask |= std::uint32_t{1} << rng.next_below(n);
+  }
+  return core::Partition(n, mask);
+}
+
+std::vector<std::uint8_t> random_bits(std::size_t count, util::Rng& rng) {
+  std::vector<std::uint8_t> bits(count);
+  for (auto& b : bits) b = rng.next_bool() ? 1 : 0;
+  return bits;
+}
+
+std::vector<core::RowType> random_types(std::size_t count, util::Rng& rng) {
+  std::vector<core::RowType> types(count);
+  for (auto& t : types) t = static_cast<core::RowType>(1 + rng.next_below(4));
+  return types;
+}
+
+/// A random n-input system cycling Normal, BTO and ND units. Unit 0's bound
+/// set straddles the byte boundary at input 8 (bits 6..8), and the ND units
+/// share input 8 or higher, so every index chunk carries column and row
+/// bits. `contents_seed` varies only the table contents: two calls with the
+/// same `structure_seed` give the same partitions and modes.
+core::ApproxLut random_all_modes_lut(unsigned n, std::uint64_t structure_seed,
+                                     std::uint64_t contents_seed) {
+  util::Rng shape(structure_seed);
+  util::Rng fill(contents_seed);
+  const unsigned outputs = 7;
+  std::vector<core::Setting> settings;
+  for (unsigned k = 0; k < outputs; ++k) {
+    core::Setting s;
+    s.error = 0.0;
+    const unsigned bound_size =
+        4 + static_cast<unsigned>(shape.next_below(n / 2 - 2));
+    const std::uint32_t straddle = k == 0 ? 0b111000000u : 0u;
+    s.mode = static_cast<core::DecompMode>(k % 3);
+    if (s.mode == core::DecompMode::kNonDisjoint) {
+      s.shared_bit = 8 + static_cast<unsigned>(shape.next_below(n - 8));
+      s.partition = random_partition(
+          n, bound_size, std::uint32_t{1} << s.shared_bit, shape);
+      const std::size_t cols = s.partition.num_cols();
+      const std::size_t rows = s.partition.num_rows();
+      s.pattern0 = random_bits(cols / 2, fill);
+      s.pattern1 = random_bits(cols / 2, fill);
+      s.types0 = random_types(rows, fill);
+      s.types1 = random_types(rows, fill);
+    } else {
+      s.partition = random_partition(n, bound_size, straddle, shape);
+      s.pattern = random_bits(s.partition.num_cols(), fill);
+      s.types = s.mode == core::DecompMode::kBto
+                    ? std::vector<core::RowType>(s.partition.num_rows(),
+                                                 core::RowType::kPattern)
+                    : random_types(s.partition.num_rows(), fill);
+    }
+    settings.push_back(std::move(s));
+  }
+  return core::ApproxLut::realize(n, settings);
+}
+
+/// eval_batch on `image` against ApproxLutSystem::read, word by word.
+void expect_reads_match(const StreamTarget& target,
+                        const ApproxLutSystem& system,
+                        const std::vector<core::InputWord>& words) {
+  std::uint64_t epoch = 0;
+  const TableImage& image = target.acquire(epoch);
+  std::vector<core::OutputWord> y(words.size());
+  target.eval_batch(image, words.data(), y.data(), words.size());
+  for (std::size_t i = 0; i < words.size(); ++i) {
+    ASSERT_EQ(y[i], system.read(words[i])) << "x = " << words[i];
+  }
+}
+
 // ---- Bit identity: batched kernels vs the scalar simulate() loop --------
 
 TEST(StreamEngine, MonolithicBitIdenticalToSimulate) {
@@ -146,6 +225,46 @@ TEST(StreamEngine, AllThreeModesBitIdenticalOverFullDomain) {
   EXPECT_EQ(scalar.mismatches, 0u);  // hardware == functional model
   auto target = StreamTarget::compile(system);
   EXPECT_EQ(stream_simulate(target, domain, &reference, kTech, 5), scalar);
+}
+
+TEST(StreamEngine, RandomSystemsMatchReadAcrossIndexByteBoundaries) {
+  // Widths with two (9, 14, 16) and three (17, 20) index chunks; the full
+  // domain up to 16 inputs, 2^16 seeded random words above.
+  for (const unsigned n : {9u, 14u, 16u, 17u, 20u}) {
+    SCOPED_TRACE("n = " + std::to_string(n));
+    const auto lut = random_all_modes_lut(n, 1000 + n, 2000 + n);
+    const auto reference = lut.to_function();
+    const ApproxLutSystem system(ArchKind::kBtoNormalNd, lut, kTech);
+    ASSERT_EQ(system.units()[0].decomposition().partition().bound_mask() &
+                  0b111000000u,
+              0b111000000u);
+
+    std::vector<core::InputWord> words;
+    if (n <= 16) {
+      words.resize(std::size_t{1} << n);
+      for (std::size_t i = 0; i < words.size(); ++i) {
+        words[i] = static_cast<core::InputWord>(i);
+      }
+    } else {
+      words = random_sequence(std::size_t{1} << 16, n, 3000 + n);
+    }
+
+    // Every check runs through a moved target, pinning the move
+    // constructor's transfer of the index tables.
+    auto compiled = StreamTarget::compile(system);
+    StreamTarget target(std::move(compiled));
+    expect_reads_match(target, system, words);
+    EXPECT_EQ(stream_simulate(target, words, &reference, kTech, 1000),
+              simulate(make_target(system), words, &reference, kTech));
+
+    // Same structure, new contents: reconfigure() rewrites the whole
+    // inactive image and the index tables keep serving.
+    const ApproxLutSystem next(ArchKind::kBtoNormalNd,
+                               random_all_modes_lut(n, 1000 + n, 4000 + n),
+                               kTech);
+    target.reconfigure(next);
+    expect_reads_match(target, next, words);
+  }
 }
 
 TEST(StreamEngine, TogglesUseCorrectedMaskedAccounting) {

@@ -192,17 +192,23 @@ void write_json(std::FILE* out, const std::vector<StreamRow>& rows,
                 const std::string& benchmark, unsigned width,
                 std::size_t producers, const hw::StreamConfig& config,
                 std::size_t reads, unsigned reconfigs, std::uint64_t seed) {
+  // Producers + the consumer + the reconfiguration writer: rows measured
+  // with more threads than CPUs time the scheduler, not the engine.
+  const unsigned host_cpus = std::thread::hardware_concurrency();
+  const bool oversubscribed = producers + 2 > host_cpus;
   std::fprintf(out, "{\n");
   std::fprintf(out, "  \"schema\": \"dalut-bench-report-v4\",\n");
   std::fprintf(out,
                "  \"config\": {\"benchmark\": \"%s\", \"width\": %u, "
                "\"producers\": %zu, \"batch_size\": %zu, "
                "\"ring_capacity\": %zu, \"reads\": %zu, \"reconfigs\": %u, "
-               "\"seed\": %llu, \"simd_isa\": \"%s\", \"simd_lanes\": %u},\n",
+               "\"seed\": %llu, \"simd_isa\": \"%s\", \"simd_lanes\": %u, "
+               "\"host_cpus\": %u, \"oversubscribed\": %s},\n",
                benchmark.c_str(), width, producers, config.batch_size,
                config.ring_capacity, reads, reconfigs,
                static_cast<unsigned long long>(seed), util::simd::isa_name(),
-               static_cast<unsigned>(util::simd::kLanes));
+               static_cast<unsigned>(util::simd::kLanes), host_cpus,
+               oversubscribed ? "true" : "false");
   std::fprintf(out, "  \"stream\": [\n");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const auto& r = rows[i];
