@@ -96,7 +96,8 @@ BENCHMARK(BM_OptForPart)->Arg(10)->Arg(12)->Arg(14);
 
 void BM_OptForPartWorkspace(benchmark::State& state) {
   // The restart-blocked EvalWorkspace kernel on the same problem as
-  // BM_OptForPart (bit-identical results, ~Z x less matrix traffic).
+  // BM_OptForPart (bit-identical results; register-tiled types and pattern
+  // sweeps over all Z restarts at once).
   const auto width = static_cast<unsigned>(state.range(0));
   const auto g = make_cos(width);
   const auto dist = core::InputDistribution::uniform(width);

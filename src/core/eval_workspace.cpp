@@ -140,48 +140,200 @@ void gather_blocked(double* cells, std::uint32_t bound,
 }
 
 // ---- Sweep kernels ------------------------------------------------------
+//
+// Both OptForPart sweeps keep their running sums in registers for a whole
+// tile. Every (row, restart) match sum and every (column, restart) pattern
+// cost is still one accumulator that starts at 0.0 and adds in the
+// reference order (columns ascending, rows ascending): tiling changes which
+// sums are in flight together, never the arithmetic of any one of them.
 
-/// match[z] += blend of {b0, b1} under pat[z] for z in [0, block): the
-/// vector body is elementwise over independent accumulators, so it adds
-/// bit-identical values in the same per-z order as the scalar tail.
-inline void blend_add_row(double* match, const std::uint64_t* pat,
-                          std::uint32_t block, std::uint64_t b0,
-                          std::uint64_t b1, bool vec) noexcept {
-  std::uint32_t z = 0;
-  if (vec) {
-    const simd::VecU vb0 = simd::ubroadcast(b0);
-    const simd::VecU vb1 = simd::ubroadcast(b1);
-    for (; z + simd::kLanes <= block; z += simd::kLanes) {
-      const simd::VecU p = simd::uloadu(pat + z);
-      const simd::VecD pick = simd::as_double(
-          simd::uor(simd::uand(p, vb1), simd::uandnot(p, vb0)));
-      simd::dstoreu(match + z, simd::dadd(simd::dloadu(match + z), pick));
+/// Rows per types-sweep tile.
+constexpr std::size_t kTileRows = 4;
+/// Columns per pattern-sweep tile.
+constexpr std::size_t kTileCols = 16;
+
+/// Lane policies of match_tile: kLanes restarts per SIMD vector, or one
+/// restart in a plain scalar (the forced-scalar path and block tails).
+struct VecLane {
+  static constexpr unsigned kWidth = simd::kLanes;
+  using Acc = simd::VecD;
+  using Mask = simd::VecU;
+  static Acc zero() noexcept { return simd::dzero(); }
+  static Mask load(const std::uint64_t* p) noexcept { return simd::uloadu(p); }
+  static Mask broadcast(std::uint64_t v) noexcept {
+    return simd::ubroadcast(v);
+  }
+  /// The pattern masks are full-width (0 or ~0), so selecting a cost is a
+  /// bitwise blend: the added double is bit-for-bit the one the reference
+  /// ternary picks, with no data-dependent branch.
+  static Acc add_pick(Acc acc, Mask p, Mask b0, Mask b1) noexcept {
+    return simd::dadd(
+        acc, simd::as_double(simd::uor(simd::uand(p, b1),
+                                       simd::uandnot(p, b0))));
+  }
+  static void store(double* p, Acc v) noexcept { simd::dstoreu(p, v); }
+};
+
+struct ScalarLane {
+  static constexpr unsigned kWidth = 1;
+  using Acc = double;
+  using Mask = std::uint64_t;
+  static Acc zero() noexcept { return 0.0; }
+  static Mask load(const std::uint64_t* p) noexcept { return *p; }
+  static Mask broadcast(std::uint64_t v) noexcept { return v; }
+  static Acc add_pick(Acc acc, Mask p, Mask b0, Mask b1) noexcept {
+    return acc + std::bit_cast<double>((b0 & ~p) | (b1 & p));
+  }
+  static void store(double* p, Acc v) noexcept { *p = v; }
+};
+
+/// Match sums of kTileRows rows against kVecs * L::kWidth consecutive
+/// restarts: out[k * out_stride + j] = the sum over columns c ascending of
+/// the cost of rows[k] that mask pat[c * pat_stride + j] selects. The
+/// kTileRows * kVecs accumulators stay in registers across the column loop,
+/// and each pattern vector is loaded once per column for all the rows.
+template <typename L, unsigned kVecs>
+inline void match_tile(const double* const* rows, std::size_t cols,
+                       const std::uint64_t* pat, std::size_t pat_stride,
+                       double* out, std::size_t out_stride) noexcept {
+  typename L::Acc acc[kTileRows][kVecs];
+  for (auto& row_acc : acc) {
+    for (auto& a : row_acc) a = L::zero();
+  }
+  for (std::size_t c = 0; c < cols; ++c) {
+    typename L::Mask p[kVecs];
+    for (unsigned v = 0; v < kVecs; ++v) {
+      p[v] = L::load(pat + c * pat_stride + v * L::kWidth);
+    }
+    for (std::size_t k = 0; k < kTileRows; ++k) {
+      const auto b0 =
+          L::broadcast(std::bit_cast<std::uint64_t>(rows[k][2 * c]));
+      const auto b1 =
+          L::broadcast(std::bit_cast<std::uint64_t>(rows[k][2 * c + 1]));
+      for (unsigned v = 0; v < kVecs; ++v) {
+        acc[k][v] = L::add_pick(acc[k][v], p[v], b0, b1);
+      }
     }
   }
-  for (; z < block; ++z) {
-    match[z] += std::bit_cast<double>((b0 & ~pat[z]) | (b1 & pat[z]));
+  for (std::size_t k = 0; k < kTileRows; ++k) {
+    for (unsigned v = 0; v < kVecs; ++v) {
+      L::store(out + k * out_stride + v * L::kWidth, acc[k][v]);
+    }
   }
 }
 
-/// even[c] += row[2c], odd[c] += row[2c+1] for c in [0, cols): the pair
-/// deinterleave feeds the same independent per-column accumulators as the
-/// scalar tail, in the same per-column order across calls.
-inline void pair_accumulate(double* even, double* odd, const double* row,
-                            std::size_t cols, bool vec) noexcept {
+/// Points rows[k] at row r0 + k of `cells`. Slots past the last row alias
+/// row r0, so a short final group runs the same tile and its extra sums
+/// are discarded.
+inline void tile_rows(const double* cells, std::size_t cols, std::size_t r0,
+                      std::size_t count, const double** rows) noexcept {
+  for (std::size_t k = 0; k < kTileRows; ++k) {
+    rows[k] = cells + 2 * (r0 + (k < count ? k : 0)) * cols;
+  }
+}
+
+/// Pair policies of column_sums: a D4 holds the interleaved
+/// {if_zero, if_one} accumulators of two columns, a ScalarPairs::T those of
+/// one.
+struct VecPairs {
+  static constexpr std::size_t kCols = 2;
+  using T = simd::D4;
+  static T load(const double* p) noexcept { return simd::loadu4(p); }
+  static T add(T a, T b) noexcept { return simd::add4(a, b); }
+  static T swap(T v) noexcept { return simd::swap_pairs4(v); }
+  static void store(double* p, T v) noexcept { simd::storeu4(p, v); }
+};
+
+struct ScalarPairs {
+  static constexpr std::size_t kCols = 1;
+  struct T {
+    double zero, one;
+  };
+  static T load(const double* p) noexcept { return {p[0], p[1]}; }
+  static T add(T a, T b) noexcept { return {a.zero + b.zero, a.one + b.one}; }
+  static T swap(T v) noexcept { return {v.one, v.zero}; }
+  static void store(double* p, T v) noexcept {
+    p[0] = v.zero;
+    p[1] = v.one;
+  }
+};
+
+/// column_sums over kGranules * P::kCols columns from c0, with the sums in
+/// register accumulators.
+template <typename P, std::size_t kGranules, typename Emit>
+inline void column_tile(const double* cells, std::size_t cols, std::size_t c0,
+                        const std::vector<std::uint32_t>& members,
+                        Emit& emit) {
+  constexpr std::size_t kWords = 2 * P::kCols;
+  typename P::T acc[kGranules]{};
+  for (const std::uint32_t m : members) {
+    const double* cell = cells + 2 * ((m >> 1) * cols + c0);
+    if (m & 1u) {
+      for (std::size_t g = 0; g < kGranules; ++g) {
+        acc[g] = P::add(acc[g], P::swap(P::load(cell + kWords * g)));
+      }
+    } else {
+      for (std::size_t g = 0; g < kGranules; ++g) {
+        acc[g] = P::add(acc[g], P::load(cell + kWords * g));
+      }
+    }
+  }
+  double sums[kWords * kGranules];
+  for (std::size_t g = 0; g < kGranules; ++g) {
+    P::store(sums + kWords * g, acc[g]);
+  }
+  for (std::size_t j = 0; j < P::kCols * kGranules; ++j) {
+    emit(c0 + j, sums[2 * j], sums[2 * j + 1]);
+  }
+}
+
+/// Calls emit(c, if_zero, if_one) for every column c ascending, where
+/// if_zero / if_one are the costs of value 0 / 1 in column c summed over
+/// the rows in `members` (ascending, entry = row << 1 | complement) in row
+/// order. A kComplement row charges the costs with the roles reversed, so
+/// it adds its pair swapped. Columns go in 16-column register tiles, then
+/// narrower tails.
+template <typename Emit>
+void column_sums(const double* cells, std::size_t cols,
+                 const std::vector<std::uint32_t>& members, Emit&& emit) {
   std::size_t c = 0;
-  if (vec) {
-    for (; c + 4 <= cols; c += 4) {
-      simd::D4 evens, odds;
-      simd::deinterleave4(simd::loadu4(row + 2 * c),
-                          simd::loadu4(row + 2 * c + 4), evens, odds);
-      simd::storeu4(even + c,
-                    simd::add4(simd::loadu4(even + c), evens));
-      simd::storeu4(odd + c, simd::add4(simd::loadu4(odd + c), odds));
+  if (simd::enabled()) {
+    for (; c + kTileCols <= cols; c += kTileCols) {
+      column_tile<VecPairs, kTileCols / VecPairs::kCols>(cells, cols, c,
+                                                         members, emit);
+    }
+    for (; c + VecPairs::kCols <= cols; c += VecPairs::kCols) {
+      column_tile<VecPairs, 1>(cells, cols, c, members, emit);
+    }
+  } else {
+    for (; c + kTileCols <= cols; c += kTileCols) {
+      column_tile<ScalarPairs, kTileCols>(cells, cols, c, members, emit);
     }
   }
   for (; c < cols; ++c) {
-    even[c] += row[2 * c];
-    odd[c] += row[2 * c + 1];
+    column_tile<ScalarPairs, 1>(cells, cols, c, members, emit);
+  }
+}
+
+/// sums0[r] / sums1[r] = row r's cost0 / cost1 sum, columns ascending (the
+/// kAllZero / kAllOne row costs). kTileRows rows run side by side so their
+/// sequential sums overlap.
+void row_sums(const InterleavedCostMatrix& matrix, double* sums0,
+              double* sums1) noexcept {
+  for (std::size_t r0 = 0; r0 < matrix.rows; r0 += kTileRows) {
+    const std::size_t count = std::min(kTileRows, matrix.rows - r0);
+    const double* rows[kTileRows];
+    tile_rows(matrix.cells.data(), matrix.cols, r0, count, rows);
+    ScalarPairs::T acc[kTileRows]{};
+    for (std::size_t c = 0; c < matrix.cols; ++c) {
+      for (std::size_t k = 0; k < kTileRows; ++k) {
+        acc[k] = ScalarPairs::add(acc[k], ScalarPairs::load(rows[k] + 2 * c));
+      }
+    }
+    for (std::size_t k = 0; k < count; ++k) {
+      sums0[r0 + k] = acc[k].zero;
+      sums1[r0 + k] = acc[k].one;
+    }
   }
 }
 
@@ -381,10 +533,9 @@ unsigned EvalWorkspace::restart_block(std::size_t rows, std::size_t cols,
   if (opt_block_override_ != 0) {
     return std::min(opt_block_override_, restarts);
   }
-  // Keep the per-block column accumulators and pattern/type arrays within
-  // ~1 MiB so they stay cache-resident next to the matrix itself.
-  const std::size_t per_restart = 2 * sizeof(double) * cols +
-                                  sizeof(std::uint64_t) * cols + rows + 64;
+  // Keep the per-block pattern/type arrays within ~1 MiB so they stay
+  // cache-resident next to the matrix itself.
+  const std::size_t per_restart = sizeof(std::uint64_t) * cols + rows + 64;
   const std::size_t budget = std::size_t{1} << 20;
   const auto block = static_cast<unsigned>(
       std::clamp<std::size_t>(budget / per_restart, 1, restarts));
@@ -392,90 +543,79 @@ unsigned EvalWorkspace::restart_block(std::size_t rows, std::size_t cols,
 }
 
 void EvalWorkspace::types_sweep(const InterleavedCostMatrix& matrix,
-                                unsigned block, bool compute_sums,
+                                unsigned block,
                                 util::aligned_vector<double>& totals) {
   const std::size_t rows = matrix.rows;
   const std::size_t cols = matrix.cols;
-  const std::size_t active_count = active_.size();
-  // The direct loop touches every restart in the block but vectorizes; the
-  // active-indexed loop is scalar but proportional to the survivors. Cross
-  // over when the active set has thinned to ~1/4 of the block, so straggler
-  // restarts do not pay full-block sweeps. Either path adds bit-identical
-  // values for the active restarts; inactive slots are never read.
-  const bool direct = 4 * active_count >= block;
+  const double* cells = matrix.cells.data();
+  const std::uint64_t* pat = patterns_.data();
+  // The direct tiles touch every restart in the block but vectorize; the
+  // active-indexed tiles are scalar but proportional to the survivors.
+  // Cross over when the active set has thinned to ~1/4 of the block, so
+  // straggler restarts do not pay full-block sweeps. Either path adds
+  // bit-identical values for the active restarts; inactive slots are never
+  // read.
+  const bool direct = 4 * active_.size() >= block;
   const bool vec = simd::enabled();
+  constexpr unsigned kLanes = simd::kLanes;
   util::assert_aligned64(match_.data());
   util::assert_aligned64(patterns_.data());
   for (const std::uint32_t z : active_) totals[z] = 0.0;
 
-  for (std::size_t r = 0; r < rows; ++r) {
-    const double* row = matrix.cells.data() + 2 * r * cols;
+  for (std::size_t r0 = 0; r0 < rows; r0 += kTileRows) {
+    const std::size_t count = std::min(kTileRows, rows - r0);
+    const double* tile[kTileRows];
+    tile_rows(cells, cols, r0, count, tile);
+    // match_[k * block + z] = match sum of row r0 + k under restart z.
     if (direct) {
-      std::fill_n(match_.data(), block, 0.0);
-    } else {
-      for (const std::uint32_t z : active_) match_[z] = 0.0;
-    }
-
-    // The pattern entries are full-width masks, so selecting a cost is a
-    // bitwise blend: the added double is bit-for-bit the one the reference
-    // ternary would pick, but the loop has no data-dependent branch and
-    // vectorizes (explicitly via blend_add_row when SIMD is on; the blend
-    // is elementwise per restart, so lane count cannot affect results).
-    double s0 = 0.0;
-    double s1 = 0.0;
-    if (compute_sums) {
-      for (std::size_t c = 0; c < cols; ++c) {
-        const double c0 = row[2 * c];
-        const double c1 = row[2 * c + 1];
-        s0 += c0;
-        s1 += c1;
-        blend_add_row(match_.data(), patterns_.data() + c * block, block,
-                      std::bit_cast<std::uint64_t>(c0),
-                      std::bit_cast<std::uint64_t>(c1), vec);
-      }
-      sums0_[r] = s0;
-      sums1_[r] = s1;
-    } else if (direct) {
-      for (std::size_t c = 0; c < cols; ++c) {
-        blend_add_row(match_.data(), patterns_.data() + c * block, block,
-                      std::bit_cast<std::uint64_t>(row[2 * c]),
-                      std::bit_cast<std::uint64_t>(row[2 * c + 1]), vec);
-      }
-      s0 = sums0_[r];
-      s1 = sums1_[r];
-    } else {
-      for (std::size_t c = 0; c < cols; ++c) {
-        const std::uint64_t b0 = std::bit_cast<std::uint64_t>(row[2 * c]);
-        const std::uint64_t b1 = std::bit_cast<std::uint64_t>(row[2 * c + 1]);
-        const std::uint64_t* pat = patterns_.data() + c * block;
-        for (const std::uint32_t z : active_) {
-          match_[z] += std::bit_cast<double>((b0 & ~pat[z]) | (b1 & pat[z]));
+      unsigned z = 0;
+      if (vec) {
+        for (; z + 2 * kLanes <= block; z += 2 * kLanes) {
+          match_tile<VecLane, 2>(tile, cols, pat + z, block, &match_[z],
+                                 block);
+        }
+        for (; z + kLanes <= block; z += kLanes) {
+          match_tile<VecLane, 1>(tile, cols, pat + z, block, &match_[z],
+                                 block);
         }
       }
-      s0 = sums0_[r];
-      s1 = sums1_[r];
+      for (; z < block; ++z) {
+        match_tile<ScalarLane, 1>(tile, cols, pat + z, block, &match_[z],
+                                  block);
+      }
+    } else {
+      for (const std::uint32_t z : active_) {
+        match_tile<ScalarLane, 1>(tile, cols, pat + z, block, &match_[z],
+                                  block);
+      }
     }
 
-    std::uint8_t* row_types = types_.data() + r * block;
-    for (const std::uint32_t z : active_) {
-      const double match = match_[z];
-      const double complement = s0 + s1 - match;
-      auto best = RowType::kAllZero;
-      double best_cost = s0;
-      if (s1 < best_cost) {
-        best = RowType::kAllOne;
-        best_cost = s1;
+    for (std::size_t k = 0; k < count; ++k) {
+      const std::size_t r = r0 + k;
+      const double s0 = sums0_[r];
+      const double s1 = sums1_[r];
+      const double* match_row = match_.data() + k * block;
+      std::uint8_t* row_types = types_.data() + r * block;
+      for (const std::uint32_t z : active_) {
+        const double match = match_row[z];
+        const double complement = s0 + s1 - match;
+        auto best = RowType::kAllZero;
+        double best_cost = s0;
+        if (s1 < best_cost) {
+          best = RowType::kAllOne;
+          best_cost = s1;
+        }
+        if (match < best_cost) {
+          best = RowType::kPattern;
+          best_cost = match;
+        }
+        if (complement < best_cost) {
+          best = RowType::kComplement;
+          best_cost = complement;
+        }
+        row_types[z] = static_cast<std::uint8_t>(best);
+        totals[z] += best_cost;
       }
-      if (match < best_cost) {
-        best = RowType::kPattern;
-        best_cost = match;
-      }
-      if (complement < best_cost) {
-        best = RowType::kComplement;
-        best_cost = complement;
-      }
-      row_types[z] = static_cast<std::uint8_t>(best);
-      totals[z] += best_cost;
     }
   }
 }
@@ -484,47 +624,30 @@ void EvalWorkspace::pattern_sweep(const InterleavedCostMatrix& matrix,
                                   unsigned block) {
   const std::size_t rows = matrix.rows;
   const std::size_t cols = matrix.cols;
-  if_zero_.resize(cols * block);
-  if_one_.resize(cols * block);
-
-  // Unlike the types sweep, the pattern accumulation is restart-major: a row
-  // only contributes to the restarts whose current type for it is kPattern or
-  // kComplement, and with realistic cost arrays that is sparse (most rows
-  // settle on kAllZero/kAllOne for most restarts). Looping restarts outside
-  // keeps the work strictly proportional to the participating (row, restart)
-  // pairs, and gives each participating row a contiguous column loop that
-  // vectorizes. The per-(c, z) accumulation order is rows ascending — the
-  // reference order — and the {cost0, cost1} pairs still arrive one cache
-  // line per cell. Accumulator rows of inactive restarts are left stale;
-  // they are never read (the pattern update below is active-only).
   const double* cells = matrix.cells.data();
-  const bool vec = simd::enabled();
+
+  // Unlike the types sweep, the pattern step is restart-major: a row only
+  // contributes to the restarts whose current type for it is kPattern or
+  // kComplement, and with realistic cost arrays that is sparse (most rows
+  // settle on kAllZero/kAllOne for most restarts). Listing each restart's
+  // participating rows first keeps the work strictly proportional to the
+  // participating (row, restart) pairs; each column tile then walks that
+  // list with its sums in registers. Patterns of inactive restarts are left
+  // stale; they are never read.
   for (const std::uint32_t z : active_) {
-    double* zero = if_zero_.data() + std::size_t{z} * cols;
-    double* one = if_one_.data() + std::size_t{z} * cols;
-    std::fill_n(zero, cols, 0.0);
-    std::fill_n(one, cols, 0.0);
+    members_.clear();
     for (std::size_t r = 0; r < rows; ++r) {
       const auto type = static_cast<RowType>(types_[r * block + z]);
-      if (type != RowType::kPattern && type != RowType::kComplement) continue;
-      const double* row = cells + 2 * r * cols;
-      // kComplement charges the costs with the roles reversed, which is the
-      // same accumulation with the two destination arrays swapped.
-      if (type == RowType::kPattern) {
-        pair_accumulate(zero, one, row, cols, vec);
-      } else {
-        pair_accumulate(one, zero, row, cols, vec);
+      if (type == RowType::kPattern || type == RowType::kComplement) {
+        members_.push_back(static_cast<std::uint32_t>(r << 1) |
+                           (type == RowType::kComplement ? 1u : 0u));
       }
     }
-  }
-
-  for (const std::uint32_t z : active_) {
-    const double* zero = if_zero_.data() + std::size_t{z} * cols;
-    const double* one = if_one_.data() + std::size_t{z} * cols;
-    std::uint64_t* pat = patterns_.data();
-    for (std::size_t c = 0; c < cols; ++c) {
-      pat[c * block + z] = one[c] < zero[c] ? ~std::uint64_t{0} : 0;
-    }
+    std::uint64_t* pat = patterns_.data() + z;
+    column_sums(cells, cols, members_,
+                [pat, block](std::size_t c, double zero, double one) {
+                  pat[c * block] = one < zero ? ~std::uint64_t{0} : 0;
+                });
   }
 }
 
@@ -539,13 +662,14 @@ VtResult EvalWorkspace::opt_for_part(const InterleavedCostMatrix& matrix,
 
   sums0_.resize(rows);
   sums1_.resize(rows);
-  match_.resize(block);
+  row_sums(matrix, sums0_.data(), sums1_.data());
+  match_.resize(kTileRows * block);
+  members_.reserve(rows);
   error_.resize(block);
   after_.resize(block);
 
   VtResult best;
   best.error = std::numeric_limits<double>::infinity();
-  bool sums_ready = false;
 
   for (unsigned base = 0; base < restarts; base += block) {
     const unsigned count = std::min(block, restarts - base);
@@ -562,8 +686,7 @@ VtResult EvalWorkspace::opt_for_part(const InterleavedCostMatrix& matrix,
 
     active_.resize(count);
     for (unsigned z = 0; z < count; ++z) active_[z] = z;
-    types_sweep(matrix, count, !sums_ready, error_);
-    sums_ready = true;
+    types_sweep(matrix, count, error_);
 
     // Both steps are exact coordinate minimizations, so each restart's
     // error is non-increasing; a restart leaves the active set at its first
@@ -571,7 +694,7 @@ VtResult EvalWorkspace::opt_for_part(const InterleavedCostMatrix& matrix,
     for (unsigned iter = 0;
          iter < params.max_iterations && !active_.empty(); ++iter) {
       pattern_sweep(matrix, count);
-      types_sweep(matrix, count, false, after_);
+      types_sweep(matrix, count, after_);
       next_active_.clear();
       for (const std::uint32_t z : active_) {
         if (after_[z] >= error_[z] - 1e-15) {
@@ -602,30 +725,25 @@ VtResult EvalWorkspace::opt_for_part(const InterleavedCostMatrix& matrix,
 }
 
 VtResult EvalWorkspace::opt_for_part_bto(const InterleavedCostMatrix& matrix) {
-  const std::size_t rows = matrix.rows;
-  const std::size_t cols = matrix.cols;
-  if_zero_.assign(cols, 0.0);
-  if_one_.assign(cols, 0.0);
-
-  const double* cells = matrix.cells.data();
-  const bool vec = simd::enabled();
-  for (std::size_t r = 0; r < rows; ++r) {
-    pair_accumulate(if_zero_.data(), if_one_.data(), cells + 2 * r * cols,
-                    cols, vec);
+  // Every row is typed kPattern, so every row takes part in the column sums.
+  members_.clear();
+  for (std::size_t r = 0; r < matrix.rows; ++r) {
+    members_.push_back(static_cast<std::uint32_t>(r << 1));
   }
 
   VtResult result;
-  result.types.assign(rows, RowType::kPattern);
-  result.pattern.assign(cols, 0);
+  result.types.assign(matrix.rows, RowType::kPattern);
+  result.pattern.assign(matrix.cols, 0);
   result.error = 0.0;
-  for (std::size_t c = 0; c < cols; ++c) {
-    if (if_one_[c] < if_zero_[c]) {
-      result.pattern[c] = 1;
-      result.error += if_one_[c];
-    } else {
-      result.error += if_zero_[c];
-    }
-  }
+  column_sums(matrix.cells.data(), matrix.cols, members_,
+              [&result](std::size_t c, double zero, double one) {
+                if (one < zero) {
+                  result.pattern[c] = 1;
+                  result.error += one;
+                } else {
+                  result.error += zero;
+                }
+              });
   return result;
 }
 

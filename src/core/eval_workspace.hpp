@@ -15,17 +15,21 @@
 //    into an interleaved source copy once per thread, halving the random
 //    cache-line traffic of the 2^n scattered gather.
 //
-//  * Thread-local scratch. Matrices, deposit tables, row sums, column
-//    accumulators, and restart state all live in per-thread buffers that are
-//    reused across candidates, so steady-state evaluation performs no heap
-//    allocations (only the small output pattern/type vectors of a result are
-//    freshly allocated).
+//  * Thread-local scratch. Matrices, deposit tables, row sums,
+//    participating-row lists, and restart state all live in per-thread
+//    buffers that are reused across candidates, so steady-state evaluation
+//    performs no heap allocations (only the small output pattern/type
+//    vectors of a result are freshly allocated).
 //
 //  * Restart-blocked OptForPart. All Z random restarts advance in lock-step
-//    sweeps over the matrix: each cell is loaded once per sweep and updates
-//    every still-active restart, cutting matrix traffic by ~Z while keeping
-//    each restart's arithmetic (and therefore its result) bit-identical to
-//    the reference implementation in opt_for_part.cpp.
+//    sweeps over the matrix, and both sweeps run in register tiles: the
+//    types step keeps the match sums of 4 rows x up to two SIMD vectors of
+//    restarts in registers across the column loop, and the pattern step
+//    sums one restart's participating rows into 16-column tiles of
+//    {if_zero, if_one} pairs (the BTO variant is that pass over every row).
+//    Each (row, restart) and (column, restart) sum is still one accumulator
+//    added in the reference order, so every restart's result is
+//    bit-identical to the reference implementation in opt_for_part.cpp.
 //
 //  * No gather memo. The searches see each (cost epoch, partition) pair
 //    about once -- the SA visited-set dedup skips repeats and every
@@ -147,11 +151,10 @@ class EvalWorkspace {
 
   unsigned restart_block(std::size_t rows, std::size_t cols,
                          unsigned restarts) const;
-  /// One types step for the active restarts of the current block; also fills
-  /// sums0_/sums1_ when `compute_sums`. Writes each restart's total into
-  /// `totals`.
+  /// One types step for the active restarts of the current block. Writes
+  /// each restart's total into `totals`.
   void types_sweep(const InterleavedCostMatrix& matrix, unsigned block,
-                   bool compute_sums, util::aligned_vector<double>& totals);
+                   util::aligned_vector<double>& totals);
   /// One pattern step for the active restarts of the current block.
   void pattern_sweep(const InterleavedCostMatrix& matrix, unsigned block);
 
@@ -174,18 +177,18 @@ class EvalWorkspace {
   std::vector<std::uint32_t> cond_cols_;  ///< reduced col -> full col
 
   // Restart-blocked OptForPart scratch. Per-restart arrays are laid out
-  // restart-minor ([item * block + restart]) so the inner restart loops read
-  // contiguously.
+  // restart-minor ([item * block + restart]) so the types tiles load a
+  // vector of restarts contiguously.
   // patterns_ holds one full-width select mask per entry (0 or ~0), so the
   // types sweep can blend {cost0, cost1} bitwise instead of branching per
   // cell. The pattern sweep is restart-major instead (see pattern_sweep).
   util::aligned_vector<double> sums0_, sums1_;     // rows
   util::aligned_vector<std::uint64_t> patterns_;   // cols * block
   std::vector<std::uint8_t> types_;                // rows * block
-  util::aligned_vector<double> match_;             // block
-  util::aligned_vector<double> if_zero_, if_one_;  // block * cols
+  util::aligned_vector<double> match_;             // tile rows * block
   util::aligned_vector<double> error_, after_;     // block
   std::vector<std::uint32_t> active_, next_active_;
+  std::vector<std::uint32_t> members_;  // rows summed by column_sums
   unsigned opt_block_override_ = 0;
 };
 

@@ -71,6 +71,8 @@ void apply_field(SuiteJob& job, const std::string& key,
     job.partitions = parse_field_unsigned(value, line, "partitions", 1u << 20);
   } else if (key == "patterns") {
     job.patterns = parse_field_unsigned(value, line, "patterns", 1u << 20);
+    // OptForPart needs at least one initial pattern vector.
+    if (job.patterns == 0) fail_at(line, "patterns must be >= 1");
   } else if (key == "beams") {
     job.beams = parse_field_unsigned(value, line, "beams", 4096);
   } else if (key == "chains") {

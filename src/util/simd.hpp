@@ -13,8 +13,9 @@
 //    u64-mask, and i32 arithmetic for the blend sweeps and the bit-cost /
 //    error kernels.
 //  * Fixed granules (D2 = one interleaved {cost0, cost1} cell, D4 = two
-//    cells): the building blocks of the cost-matrix gather, defined for
-//    every backend so the blocked gather kernel is backend-generic.
+//    cells): the building blocks of the cost-matrix gather and the pattern
+//    sweep's column tiles, defined for every backend so those kernels are
+//    backend-generic.
 //
 // Bit-identity contract: no operation here reassociates floating-point
 // arithmetic. Vector adds are elementwise onto independent accumulators,
@@ -328,10 +329,11 @@ inline VecD i_to_d(VecI v) noexcept { return {static_cast<double>(v.v)}; }
 
 #endif
 
-// ---- Fixed granules for the interleaved gather --------------------------
+// ---- Fixed granules for the interleaved cells ---------------------------
 // D2 is one {cost0, cost1} cell (16 bytes), D4 two adjacent cells. Both are
-// defined for every backend so the blocked gather is backend-generic; on
-// the scalar backend they compile to plain double moves.
+// defined for every backend so the blocked gather and the pattern tiles are
+// backend-generic; on the scalar backend they compile to plain double moves.
+// A value-initialized D4 (`D4{}`) is all zeros on every backend.
 
 #if defined(DALUT_SIMD_AVX2)
 
@@ -346,6 +348,8 @@ inline D2 low2(D4 v) noexcept { return _mm256_castpd256_pd128(v); }
 inline D2 high2(D4 v) noexcept { return _mm256_extractf128_pd(v, 1); }
 inline D4 join2(D2 lo, D2 hi) noexcept { return _mm256_set_m128d(hi, lo); }
 inline D4 add4(D4 a, D4 b) noexcept { return _mm256_add_pd(a, b); }
+/// [a0 a1 a2 a3] -> [a1 a0 a3 a2]: swaps the two costs of each cell.
+inline D4 swap_pairs4(D4 v) noexcept { return _mm256_permute_pd(v, 0b0101); }
 
 /// a = [a0 a1 a2 a3], b = [b0 b1 b2 b3] ->
 /// lo = [a0 b0 a1 b1], hi = [a2 b2 a3 b3].
@@ -374,6 +378,7 @@ inline void storeu2(double* p, D2 v) noexcept { _mm_storeu_pd(p, v); }
 inline D2 add2_(D2 a, D2 b) noexcept { return _mm_add_pd(a, b); }
 inline D2 unpacklo2_(D2 a, D2 b) noexcept { return _mm_unpacklo_pd(a, b); }
 inline D2 unpackhi2_(D2 a, D2 b) noexcept { return _mm_unpackhi_pd(a, b); }
+inline D2 swap2_(D2 v) noexcept { return _mm_shuffle_pd(v, v, 0b01); }
 #elif defined(DALUT_SIMD_NEON)
 using D2 = float64x2_t;
 inline D2 loadu2(const double* p) noexcept { return vld1q_f64(p); }
@@ -381,6 +386,7 @@ inline void storeu2(double* p, D2 v) noexcept { vst1q_f64(p, v); }
 inline D2 add2_(D2 a, D2 b) noexcept { return vaddq_f64(a, b); }
 inline D2 unpacklo2_(D2 a, D2 b) noexcept { return vzip1q_f64(a, b); }
 inline D2 unpackhi2_(D2 a, D2 b) noexcept { return vzip2q_f64(a, b); }
+inline D2 swap2_(D2 v) noexcept { return vextq_f64(v, v, 1); }
 #else
 struct D2 {
   double v[2];
@@ -395,6 +401,7 @@ inline D2 add2_(D2 a, D2 b) noexcept {
 }
 inline D2 unpacklo2_(D2 a, D2 b) noexcept { return {{a.v[0], b.v[0]}}; }
 inline D2 unpackhi2_(D2 a, D2 b) noexcept { return {{a.v[1], b.v[1]}}; }
+inline D2 swap2_(D2 v) noexcept { return {{v.v[1], v.v[0]}}; }
 #endif
 
 struct D4 {
@@ -414,6 +421,7 @@ inline D4 join2(D2 lo, D2 hi) noexcept { return {lo, hi}; }
 inline D4 add4(D4 a, D4 b) noexcept {
   return {add2_(a.lo, b.lo), add2_(a.hi, b.hi)};
 }
+inline D4 swap_pairs4(D4 v) noexcept { return {swap2_(v.lo), swap2_(v.hi)}; }
 
 inline void interleave4(D4 a, D4 b, D4& lo, D4& hi) noexcept {
   lo = {unpacklo2_(a.lo, b.lo), unpackhi2_(a.lo, b.lo)};

@@ -12,7 +12,9 @@
 #include "core/algorithm_common.hpp"
 #include "core/multi_shared.hpp"
 #include "core/partition_opt.hpp"
+#include "func/registry.hpp"
 #include "util/rng.hpp"
+#include "util/simd.hpp"
 #include "util/telemetry.hpp"
 
 namespace dalut::core {
@@ -202,6 +204,137 @@ TEST(EvalWorkspace, OptForPartBitIdenticalAcrossBlockSizes) {
     expect_same_result(actual, expected);
   }
   workspace.set_opt_restart_block_for_test(0);
+}
+
+/// Interleaved copy of a reference matrix, for shapes no partition gives.
+InterleavedCostMatrix interleave(const CostMatrix& matrix) {
+  InterleavedCostMatrix out;
+  out.rows = matrix.rows;
+  out.cols = matrix.cols;
+  out.cells.resize(2 * matrix.rows * matrix.cols);
+  for (std::size_t i = 0; i < matrix.cost0.size(); ++i) {
+    out.cells[2 * i] = matrix.cost0[i];
+    out.cells[2 * i + 1] = matrix.cost1[i];
+  }
+  return out;
+}
+
+CostMatrix random_matrix(std::size_t rows, std::size_t cols,
+                         std::uint64_t seed) {
+  util::Rng rng(seed);
+  CostMatrix matrix;
+  matrix.rows = rows;
+  matrix.cols = cols;
+  for (std::size_t i = 0; i < rows * cols; ++i) {
+    matrix.cost0.push_back(rng.next_double());
+    matrix.cost1.push_back(rng.next_double());
+  }
+  return matrix;
+}
+
+struct ScopedForceScalar {
+  explicit ScopedForceScalar(bool on) { util::simd::set_force_scalar(on); }
+  ~ScopedForceScalar() { util::simd::set_force_scalar(false); }
+};
+
+// The sweeps run in register tiles: 4 rows at a time against up to two SIMD
+// vectors of restarts (types step) and 16 columns at a time (pattern step
+// and BTO), with row-group, restart and column tails. Every shape below,
+// including those that fall short of, match, or exceed one tile, must
+// reproduce the reference bit for bit on both the SIMD and the forced-scalar
+// path and at every restart block size.
+TEST(EvalWorkspace, OptForPartTiledSweepsMatchReferenceAcrossShapes) {
+  struct Case {
+    std::string label;
+    CostMatrix reference;
+    InterleavedCostMatrix matrix;
+  };
+  std::vector<Case> cases;
+  auto& workspace = EvalWorkspace::local();
+  const auto add_partition = [&](const std::string& label,
+                                 const Partition& p, const CostView& costs) {
+    cases.push_back({label + " full", CostMatrix::build(p, costs.c0, costs.c1),
+                     workspace.full_matrix(p, costs)});
+    // One shared bit halves the columns; sharing the whole bound set
+    // leaves a single column.
+    const std::uint32_t low = p.bound_mask() & (~p.bound_mask() + 1);
+    for (const std::uint32_t shared : {low, p.bound_mask()}) {
+      const std::uint32_t values = 1;
+      cases.push_back(
+          {label + " conditioned " + std::to_string(shared),
+           CostMatrix::build_conditioned_set(p, shared, values, costs.c0,
+                                             costs.c1),
+           workspace.conditioned(workspace.full_matrix(p, costs), p, shared,
+                                 values)});
+    }
+  };
+
+  // (n, bound) -> rows x cols: 8x2, 2x8, 4x16, 32x2, 64x8, 32x16, 2x256,
+  // 128x32, 16x256, 64x256.
+  util::Rng part_rng(12);
+  const std::vector<std::pair<unsigned, unsigned>> shapes{
+      {4, 1}, {4, 3}, {6, 4}, {6, 1}, {9, 3},
+      {9, 4}, {9, 8}, {12, 5}, {12, 8}, {14, 8}};
+  for (const auto& [n, bound] : shapes) {
+    const CostFixture fx(n, 100 + n + bound);
+    add_partition("n=" + std::to_string(n) + " b=" + std::to_string(bound),
+                  Partition::random(n, bound, part_rng), fx.view());
+  }
+  // The search shape on real bit costs (ties and exact zeros included).
+  const auto spec = *func::benchmark_by_name("cos", 14);
+  const auto g =
+      MultiOutputFunction::from_eval(spec.num_inputs, spec.num_outputs,
+                                     spec.eval);
+  const auto costs =
+      build_bit_costs(g, g.values(), 10, LsbModel::kPredictive,
+                      InputDistribution::uniform(14));
+  add_partition("cos n=14 b=8", Partition::random(14, 8, part_rng), costs);
+  // One row, and 3 or 5 rows (a short final row group), by hand.
+  for (const auto& [rows, cols] :
+       std::vector<std::pair<std::size_t, std::size_t>>{
+           {1, 2}, {1, 16}, {1, 32}, {3, 16}, {5, 35}}) {
+    auto reference = random_matrix(rows, cols, 7 * rows + cols);
+    auto matrix = interleave(reference);
+    cases.push_back({"hand " + std::to_string(rows) + "x" +
+                         std::to_string(cols),
+                     std::move(reference), std::move(matrix)});
+  }
+
+  std::size_t complement_rows = 0;
+  for (const auto& c : cases) {
+    // The BTO variant sums every row through the same column tiles.
+    const auto expected_bto = opt_for_part_bto(c.reference);
+    for (const bool scalar : {false, true}) {
+      const ScopedForceScalar scoped(scalar);
+      SCOPED_TRACE(c.label + " bto" + (scalar ? " scalar" : " simd"));
+      expect_same_result(workspace.opt_for_part_bto(c.matrix), expected_bto);
+    }
+    for (const unsigned restarts : {1u, 3u, 4u, 5u, 8u, 12u, 13u, 30u}) {
+      const OptForPartParams params{restarts, 64};
+      util::Rng ref_rng(restarts + c.reference.cols);
+      const auto expected = opt_for_part(c.reference, params, ref_rng);
+      const double ref_next = ref_rng.next_double();
+      for (const RowType type : expected.types) {
+        complement_rows += type == RowType::kComplement ? 1 : 0;
+      }
+      for (const bool scalar : {false, true}) {
+        const ScopedForceScalar scoped(scalar);
+        for (const unsigned block : {1u, 3u, 0u}) {
+          SCOPED_TRACE(c.label + " Z=" + std::to_string(restarts) +
+                       " block=" + std::to_string(block) +
+                       (scalar ? " scalar" : " simd"));
+          workspace.set_opt_restart_block_for_test(block);
+          util::Rng ws_rng(restarts + c.reference.cols);
+          const auto actual = workspace.opt_for_part(c.matrix, params, ws_rng);
+          expect_same_result(actual, expected);
+          EXPECT_EQ(ws_rng.next_double(), ref_next);
+        }
+      }
+    }
+  }
+  workspace.set_opt_restart_block_for_test(0);
+  // The cases must exercise the swapped (kComplement) accumulation.
+  EXPECT_GT(complement_rows, 0u);
 }
 
 TEST(EvalWorkspace, BtoBitIdenticalToReference) {

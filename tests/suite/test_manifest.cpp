@@ -140,6 +140,28 @@ TEST(Manifest, ErrorsAreLineAnchored) {
   }
 }
 
+TEST(Manifest, RejectsZeroPatternsOnItsLine) {
+  // OptForPart needs at least one restart, on a job line and on a default
+  // line alike; patterns=1 stays valid.
+  for (const char* line : {"job a benchmark=cos patterns=0\n",
+                           "default patterns=0\n"}) {
+    try {
+      manifest_from_string(std::string("dalut-manifest v1\n"
+                                       "job ok benchmark=cos\n") +
+                           line + "end\n");
+      FAIL() << "expected invalid_argument for " << line;
+    } catch (const std::invalid_argument& error) {
+      const std::string what = error.what();
+      EXPECT_NE(what.find("line 3"), std::string::npos) << what;
+      EXPECT_NE(what.find("patterns must be >= 1"), std::string::npos)
+          << what;
+    }
+  }
+  const auto manifest = manifest_from_string(
+      "dalut-manifest v1\njob a benchmark=cos patterns=1\nend\n");
+  EXPECT_EQ(manifest.jobs.at(0).patterns, 1u);
+}
+
 TEST(Manifest, LoadMissingFileThrows) {
   EXPECT_THROW(load_manifest("/nonexistent-dir-zz/suite.manifest"),
                std::runtime_error);

@@ -38,12 +38,15 @@
 #include <chrono>
 #include <cmath>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <stdexcept>
+#include <utility>
 
 #include "core/bound_size.hpp"
 #include "core/bssa.hpp"
@@ -244,6 +247,22 @@ int run(int argc, char** argv) {
     std::fprintf(stderr, "error: --failpoints/DALUT_FAILPOINTS: %s\n",
                  error.what());
     return kExitUsage;
+  }
+  // The search counts are read through static_cast<unsigned>, so a value
+  // outside [min, UINT_MAX] would wrap: --patterns -1 became 4294967295
+  // restarts inside one uninterruptible OptForPart call. OptForPart needs
+  // at least one restart; the other counts may be 0.
+  constexpr std::pair<const char*, std::int64_t> kCounts[] = {
+      {"patterns", 1}, {"rounds", 0}, {"partitions", 0}, {"beams", 0},
+      {"chains", 0}};
+  for (const auto& [name, min] : kCounts) {
+    const std::int64_t value = cli.integer(name);
+    if (value < min || value > std::numeric_limits<unsigned>::max()) {
+      std::fprintf(stderr, "error: --%s must be an integer in [%lld, %u]\n",
+                   name, static_cast<long long>(min),
+                   std::numeric_limits<unsigned>::max());
+      return kExitUsage;
+    }
   }
 
   // --- Run control: deadline + signals. ---
