@@ -8,7 +8,8 @@ Asserts on the width-16 cost_matrix and width-14 opt_for_part micro rows
 
   1. the report is schema v4 and records the SIMD ISA, lane width, and
      table-load mode in its config block, and its stream micro row (v4)
-     is bit-identical to the scalar simulator,
+     is bit-identical to the scalar simulator and not slower than it
+     (relative, same run, like check 2),
   2. the EvalWorkspace path is not slower than the reference
      CostMatrix::build path it replaced (relative check, same machine and
      same run, so it is immune to host speed differences), and
@@ -49,7 +50,13 @@ def main() -> int:
     stream = report["stream"]
     assert stream["bit_identical"] is True, (
         "batched stream_simulate diverged from the scalar simulate() loop")
-    assert stream["batched_ns_per_read"] > 0, stream
+    batched_ns, scalar_ns = (stream["batched_ns_per_read"],
+                             stream["scalar_ns_per_read"])
+    assert batched_ns > 0, stream
+    assert batched_ns <= scalar_ns * RELATIVE_SLACK, (
+        f"stream_simulate slower than the scalar simulate() loop: "
+        f"batched {batched_ns:.2f} ns/read > scalar {scalar_ns:.2f} ns/read "
+        f"* {RELATIVE_SLACK}")
 
     rows = [m for m in report["micro"]
             if m["kernel"] == "cost_matrix" and m["width"] == 16]
@@ -83,8 +90,8 @@ def main() -> int:
           f"lanes={config['simd_lanes']} table_load={config['table_load']}, "
           f"opt_for_part w14 new {opt_new:.0f} ns (old {opt_old:.0f} ns, "
           f"{opt['new_allocs_per_call']:.2f} allocs/call), "
-          f"stream w{stream['width']} "
-          f"{stream['batched_ns_per_read']:.2f} ns/read bit-identical")
+          f"stream w{stream['width']} {batched_ns:.2f} ns/read "
+          f"(scalar {scalar_ns:.2f} ns/read) bit-identical")
     return 0
 
 

@@ -7,8 +7,9 @@ namespace dalut::hw {
 
 LutRam::LutRam(unsigned addr_bits, unsigned width, const Technology& tech)
     : addr_bits_(addr_bits), width_(width), addr_mask_(0), tech_(tech) {
-  if (addr_bits < 1 || addr_bits > 24) {
-    throw std::invalid_argument("LutRam addr_bits must be in [1, 24], got " +
+  if (addr_bits < 1 || addr_bits > kMaxAddrBits) {
+    throw std::invalid_argument("LutRam addr_bits must be in [1, " +
+                                std::to_string(kMaxAddrBits) + "], got " +
                                 std::to_string(addr_bits));
   }
   if (width < 1 || width > 32) {

@@ -16,7 +16,9 @@ namespace dalut::hw {
 
 class LutRam {
  public:
-  /// Throws std::invalid_argument unless 1 <= addr_bits <= 24 and
+  static constexpr unsigned kMaxAddrBits = 24;
+
+  /// Throws std::invalid_argument unless 1 <= addr_bits <= kMaxAddrBits and
   /// 1 <= width <= 32 (enforced in release builds too, not assert-only).
   LutRam(unsigned addr_bits, unsigned width, const Technology& tech);
 

@@ -1,5 +1,7 @@
 #include "hw/simulator.hpp"
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <stdexcept>
 #include <string>
@@ -26,32 +28,19 @@ SimulationReport simulate(const SimTarget& target,
                           std::span<const core::InputWord> sequence,
                           const core::MultiOutputFunction* reference,
                           const Technology& tech) {
-  SimulationReport report;
+  constexpr std::size_t kChunk = 256;
+  std::array<core::OutputWord, kChunk> y;
+  BatchAccumulator acc;
   const core::OutputWord bus_mask = output_bus_mask(target.num_outputs);
-  core::OutputWord previous = 0;
-  bool first = true;
-  for (const auto x : sequence) {
-    const core::OutputWord y = target.read(x);
-    ++report.reads;
-    report.total_energy += target.static_read_energy;
-    if (!first) {
-      // Only the target's num_outputs wires exist: bits above the output
-      // width (a wide read value, an out_shift overhang) must not count.
-      const unsigned toggles = std::popcount((previous ^ y) & bus_mask);
-      report.output_toggles += toggles;
-      report.total_energy += toggles * tech.wire_energy;
+  for (std::size_t done = 0; done < sequence.size(); done += kChunk) {
+    const std::size_t take = std::min(kChunk, sequence.size() - done);
+    for (std::size_t i = 0; i < take; ++i) {
+      y[i] = target.read(sequence[done + i]);
     }
-    if (reference != nullptr && reference->value(x) != y) {
-      ++report.mismatches;
-    }
-    previous = y;
-    first = false;
+    accumulate_batch(acc, sequence.data() + done, y.data(), take, reference,
+                     tech, target.static_read_energy, bus_mask);
   }
-  if (report.reads > 0) {
-    report.avg_read_energy =
-        report.total_energy / static_cast<double>(report.reads);
-  }
-  return report;
+  return finish(acc);
 }
 
 SimulationReport simulate_random(const SimTarget& target, std::size_t count,
@@ -70,6 +59,44 @@ SimulationReport simulate_random(const SimTarget& target, std::size_t count,
     x = static_cast<core::InputWord>(rng.next_below(domain));
   }
   return simulate(target, sequence, reference, tech);
+}
+
+void accumulate_batch(BatchAccumulator& acc, const core::InputWord* x,
+                      const core::OutputWord* y, std::size_t count,
+                      const core::MultiOutputFunction* reference,
+                      const Technology& tech, double static_read_energy,
+                      core::OutputWord bus_mask) {
+  if (count == 0) return;
+  SimulationReport& report = acc.report;
+  // Only the bus_mask wires exist (an out_shift overhang must not count).
+  // The first read toggles against the previous batch's last, if any.
+  std::size_t toggles =
+      acc.first ? 0 : std::popcount((acc.previous ^ y[0]) & bus_mask);
+  for (std::size_t i = 1; i < count; ++i) {
+    toggles += std::popcount((y[i - 1] ^ y[i]) & bus_mask);
+  }
+  if (reference != nullptr) {
+    std::size_t mismatches = 0;
+    for (std::size_t i = 0; i < count; ++i) {
+      mismatches += reference->value(x[i]) != y[i];
+    }
+    report.mismatches += mismatches;
+  }
+  report.reads += count;
+  report.output_toggles += toggles;
+  report.total_energy =
+      static_cast<double>(report.reads) * static_read_energy +
+      static_cast<double>(report.output_toggles) * tech.wire_energy;
+  acc.previous = y[count - 1];
+  acc.first = false;
+}
+
+SimulationReport finish(BatchAccumulator& acc) noexcept {
+  if (acc.report.reads > 0) {
+    acc.report.avg_read_energy =
+        acc.report.total_energy / static_cast<double>(acc.report.reads);
+  }
+  return acc.report;
 }
 
 }  // namespace dalut::hw

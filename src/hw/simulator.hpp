@@ -3,9 +3,11 @@
 // "energy for 1024 read operations") steps.
 //
 // The simulator drives a read sequence through an architecture model,
-// accumulating the model's per-read energy plus a data-dependent wire term
-// from measured output toggles, and (optionally) checks every read against
-// a reference function.
+// counting reads, bus-masked output toggles and (optionally) mismatches
+// against a reference function. Energy is one closed form over the integer
+// counters, reads * static_read_energy + toggles * wire_energy, so the
+// report does not depend on how the sequence is batched; the stream engine
+// shares this accounting (BatchAccumulator).
 #pragma once
 
 #include <functional>
@@ -64,5 +66,29 @@ SimulationReport simulate_random(const SimTarget& target, std::size_t count,
                                  unsigned num_inputs,
                                  const core::MultiOutputFunction* reference,
                                  const Technology& tech, util::Rng& rng);
+
+// ---- Batched accounting -------------------------------------------------
+
+/// Cross-batch accounting state shared by simulate() and the stream
+/// engine: integer counters plus the last read, which the next batch's
+/// first read toggles against. Any split of a sequence into batches yields
+/// the same report (operator==).
+struct BatchAccumulator {
+  SimulationReport report;
+  core::OutputWord previous = 0;
+  bool first = true;
+};
+
+/// Adds `count` reads y[i] = read(x[i]) to the counters (mismatches only
+/// with a `reference`) and re-prices total_energy from them. `tech` and
+/// `static_read_energy` must not change within one accumulator.
+void accumulate_batch(BatchAccumulator& acc, const core::InputWord* x,
+                      const core::OutputWord* y, std::size_t count,
+                      const core::MultiOutputFunction* reference,
+                      const Technology& tech, double static_read_energy,
+                      core::OutputWord bus_mask);
+
+/// Finalizes avg_read_energy and returns the report.
+SimulationReport finish(BatchAccumulator& acc) noexcept;
 
 }  // namespace dalut::hw

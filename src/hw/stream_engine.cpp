@@ -1,7 +1,6 @@
 #include "hw/stream_engine.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <stdexcept>
 #include <thread>
 
@@ -295,42 +294,6 @@ void StreamTarget::eval_batch(const TableImage& image,
       }
     }
   }
-}
-
-// ---- Batched accounting -------------------------------------------------
-
-void accumulate_batch(BatchAccumulator& acc, const core::InputWord* x,
-                      const core::OutputWord* y, std::size_t count,
-                      const core::MultiOutputFunction* reference,
-                      const Technology& tech, double static_read_energy,
-                      core::OutputWord bus_mask) {
-  // Mirror of the simulate() loop body, per sample and in sequence order:
-  // the floating-point accumulation order is part of the bit-identity
-  // contract, so nothing here may reassociate or batch the energy sums.
-  SimulationReport& report = acc.report;
-  for (std::size_t i = 0; i < count; ++i) {
-    ++report.reads;
-    report.total_energy += static_read_energy;
-    if (!acc.first) {
-      const unsigned toggles =
-          std::popcount((acc.previous ^ y[i]) & bus_mask);
-      report.output_toggles += toggles;
-      report.total_energy += toggles * tech.wire_energy;
-    }
-    if (reference != nullptr && reference->value(x[i]) != y[i]) {
-      ++report.mismatches;
-    }
-    acc.previous = y[i];
-    acc.first = false;
-  }
-}
-
-SimulationReport finish(BatchAccumulator& acc) noexcept {
-  if (acc.report.reads > 0) {
-    acc.report.avg_read_energy =
-        acc.report.total_energy / static_cast<double>(acc.report.reads);
-  }
-  return acc.report;
 }
 
 // ---- Single-stream drop-in ----------------------------------------------

@@ -8,11 +8,11 @@
 // column/row extraction, precomputed per input byte), so a whole batch of
 // sample words is evaluated by devirtualized, branch-free structure-of-arrays
 // kernels — no indirect call, no virtual dispatch, no per-bit PEXT loop,
-// tables hot in cache across the batch. Accounting (reads, energy, output
-// toggles, mismatches) replays the exact per-sample arithmetic of
-// simulate(), in the same order, so a
-// StreamEngine report is bit-identical to the scalar loop on the same
-// sequence: a drop-in faster backend, not a fork.
+// tables hot in cache across the batch. Accounting (reads, output toggles,
+// mismatches, energy) is simulate()'s own: integer counters fed through
+// hw::accumulate_batch and priced in one closed form, so a StreamEngine
+// report equals simulate()'s on the same sequence under operator==, however
+// the sequence is batched: a drop-in faster backend, not a fork.
 //
 // Runtime reconfiguration follows the dynamic-reconfiguration approximate-
 // multiplier scheme (PAPERS.md): LUT contents are double-buffered in two
@@ -186,28 +186,6 @@ class StreamTarget {
   std::atomic<std::uint64_t> published_{0};
   std::atomic<std::uint64_t> applied_{0};
 };
-
-// ---- Batched accounting -------------------------------------------------
-
-/// Cross-batch accounting state. accumulate_batch() replays simulate()'s
-/// per-sample arithmetic (read energy, masked toggle count, wire energy,
-/// reference check) in sequence order, so feeding batches through an
-/// accumulator yields a SimulationReport bit-identical to the scalar loop
-/// over the concatenated sequence.
-struct BatchAccumulator {
-  SimulationReport report;
-  core::OutputWord previous = 0;
-  bool first = true;
-};
-
-void accumulate_batch(BatchAccumulator& acc, const core::InputWord* x,
-                      const core::OutputWord* y, std::size_t count,
-                      const core::MultiOutputFunction* reference,
-                      const Technology& tech, double static_read_energy,
-                      core::OutputWord bus_mask);
-
-/// Finalizes avg_read_energy and returns the report.
-SimulationReport finish(BatchAccumulator& acc) noexcept;
 
 // ---- Engine -------------------------------------------------------------
 

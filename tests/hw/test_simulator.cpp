@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "core/bssa.hpp"
 #include "func/registry.hpp"
 
@@ -135,6 +138,124 @@ TEST(Simulator, EmptySequence) {
   EXPECT_EQ(report.reads, 0u);
   EXPECT_DOUBLE_EQ(report.total_energy, 0.0);
   EXPECT_DOUBLE_EQ(report.avg_read_energy, 0.0);
+}
+
+// ---- Accounting contract: integer counters, one closed form -------------
+
+/// Feeds x / y through one accumulator in consecutive chunks of the given
+/// sizes (cycled until the sequence is exhausted).
+SimulationReport accumulate_in_splits(
+    const std::vector<core::InputWord>& x,
+    const std::vector<core::OutputWord>& y,
+    const std::vector<std::size_t>& splits,
+    const core::MultiOutputFunction* reference, double static_read_energy,
+    core::OutputWord bus_mask) {
+  BatchAccumulator acc;
+  std::size_t done = 0;
+  for (std::size_t k = 0; done < x.size(); ++k) {
+    const std::size_t take =
+        std::min(splits[k % splits.size()], x.size() - done);
+    accumulate_batch(acc, x.data() + done, y.data() + done, take, reference,
+                     kTech, static_read_energy, bus_mask);
+    done += take;
+  }
+  return finish(acc);
+}
+
+TEST(Simulator, ReportIsIndependentOfBatchSplits) {
+  const auto g = benchmark("cos", 10);
+  std::vector<std::uint32_t> contents(g.values().begin(), g.values().end());
+  for (std::size_t i = 0; i < contents.size(); i += 37) contents[i] ^= 0x5;
+  const MonolithicLut lut(10, 10, contents, kTech);
+  const auto target = make_target(lut, 10);
+
+  util::Rng rng(11);
+  std::vector<core::InputWord> x(std::size_t{1} << 14);
+  for (auto& v : x) v = static_cast<core::InputWord>(rng.next_below(1024));
+  std::vector<core::OutputWord> y(x.size());
+  for (std::size_t i = 0; i < x.size(); ++i) y[i] = lut.read(x[i]);
+
+  const auto expected = simulate(target, x, &g, kTech);
+  EXPECT_GT(expected.mismatches, 0u);
+  EXPECT_GT(expected.output_toggles, 0u);
+  const auto bus = output_bus_mask(10);
+  for (const std::size_t split : {std::size_t{1}, std::size_t{2},
+                                  std::size_t{7}, std::size_t{255},
+                                  std::size_t{1024}, x.size()}) {
+    EXPECT_EQ(accumulate_in_splits(x, y, {split}, &g,
+                                   target.static_read_energy, bus),
+              expected)
+        << "split " << split;
+  }
+  for (int pattern = 0; pattern < 20; ++pattern) {
+    std::vector<std::size_t> splits(1 + rng.next_below(8));
+    for (auto& s : splits) s = 1 + rng.next_below(3000);
+    EXPECT_EQ(accumulate_in_splits(x, y, splits, &g,
+                                   target.static_read_energy, bus),
+              expected)
+        << "random split pattern " << pattern;
+  }
+}
+
+TEST(Simulator, EnergyIsTheClosedFormOfTheCounters) {
+  const auto g = benchmark("exp", 10);
+  std::vector<std::uint32_t> contents(g.values().begin(), g.values().end());
+  const MonolithicLut lut(10, 10, contents, kTech);
+  const auto target = make_target(lut, 10);
+  util::Rng rng(12);
+  const auto report = simulate_random(target, 3001, 10, &g, kTech, rng);
+  ASSERT_EQ(report.reads, 3001u);
+  ASSERT_GT(report.output_toggles, 0u);
+  const double total =
+      static_cast<double>(report.reads) * target.static_read_energy +
+      static_cast<double>(report.output_toggles) * kTech.wire_energy;
+  EXPECT_EQ(report.total_energy, total);
+  EXPECT_EQ(report.avg_read_energy,
+            total / static_cast<double>(report.reads));
+}
+
+TEST(Simulator, TogglesOnBatchBoundariesAreCounted) {
+  // Constant within each batch, so every toggle sits on a boundary:
+  // 0x0 -> 0xF (4), 0xF -> 0x5 (2), 0x5 -> 0x0 (2).
+  const std::vector<std::vector<core::OutputWord>> batches{
+      {0x0, 0x0, 0x0}, {0xF, 0xF}, {0x5}, {0x0, 0x0}};
+  const double static_energy = 3.0;
+  BatchAccumulator acc;
+  std::vector<core::OutputWord> whole;
+  for (const auto& y : batches) {
+    const std::vector<core::InputWord> x(y.size(), 0);
+    accumulate_batch(acc, x.data(), y.data(), y.size(), nullptr, kTech,
+                     static_energy, output_bus_mask(4));
+    whole.insert(whole.end(), y.begin(), y.end());
+  }
+  const auto split = finish(acc);
+  EXPECT_EQ(split.reads, 8u);
+  EXPECT_EQ(split.output_toggles, 8u);
+  EXPECT_EQ(split.total_energy, 8 * static_energy + 8 * kTech.wire_energy);
+
+  BatchAccumulator one;
+  const std::vector<core::InputWord> x(whole.size(), 0);
+  accumulate_batch(one, x.data(), whole.data(), whole.size(), nullptr, kTech,
+                   static_energy, output_bus_mask(4));
+  EXPECT_EQ(finish(one), split);
+}
+
+TEST(Simulator, FirstReadOfTheStreamTogglesNothing) {
+  // The bus has no value before the first read: a stream opening on 0xF
+  // counts no toggle, whether that read is a batch of its own or not.
+  const std::vector<core::OutputWord> y{0xF, 0xF, 0xF};
+  const std::vector<core::InputWord> x(y.size(), 0);
+  BatchAccumulator whole;
+  accumulate_batch(whole, x.data(), y.data(), 3, nullptr, kTech, 1.0,
+                   output_bus_mask(4));
+  EXPECT_EQ(finish(whole).output_toggles, 0u);
+  BatchAccumulator split;
+  accumulate_batch(split, x.data(), y.data(), 1, nullptr, kTech, 1.0,
+                   output_bus_mask(4));
+  accumulate_batch(split, x.data() + 1, y.data() + 1, 2, nullptr, kTech, 1.0,
+                   output_bus_mask(4));
+  EXPECT_EQ(finish(split), finish(whole));
+  EXPECT_EQ(split.report.total_energy, 3.0);
 }
 
 }  // namespace

@@ -288,6 +288,47 @@ TEST(StreamEngine, TogglesUseCorrectedMaskedAccounting) {
   EXPECT_EQ(stream_simulate(wide, sequence, nullptr, kTech, 3), wide_scalar);
 }
 
+TEST(StreamEngine, MismatchesCountAcrossBatchBoundaries) {
+  // Identity LUT with two wrong entries; each pass over the domain reads
+  // both once, wherever the batch boundaries fall.
+  const auto g = core::MultiOutputFunction::from_eval(
+      4, 4, [](core::InputWord x) { return x; });
+  std::vector<std::uint32_t> contents(g.values().begin(), g.values().end());
+  contents[5] ^= 0x1;
+  contents[9] ^= 0x8;
+  const MonolithicLut lut(4, 4, contents, kTech);
+  std::vector<core::InputWord> sequence;
+  for (int pass = 0; pass < 3; ++pass) {
+    for (core::InputWord x = 0; x < 16; ++x) sequence.push_back(x);
+  }
+  const auto scalar = simulate(make_target(lut, 4), sequence, &g, kTech);
+  EXPECT_EQ(scalar.mismatches, 6u);
+  auto target = StreamTarget::compile(lut, 4);
+  for (const std::size_t batch : {1u, 2u, 5u, 6u, 9u, 48u}) {
+    EXPECT_EQ(stream_simulate(target, sequence, &g, kTech, batch), scalar)
+        << "batch " << batch;
+  }
+}
+
+TEST(StreamEngine, OutShiftOverhangStaysMaskedAcrossBatchBoundaries) {
+  // Reads 12, 0, 12, ... on a 2-wire bus: every change is overhang, so no
+  // batch split may count a toggle, and the energy is exactly static.
+  const MonolithicLut lut(2, 2, {3, 0, 3, 0}, kTech, 0, /*out_shift=*/2);
+  const std::vector<core::InputWord> sequence{0, 1, 2, 3, 0, 1, 2};
+  // A 4-output reference that disagrees with the hardware at x == 2.
+  const auto reference = core::MultiOutputFunction::from_eval(
+      2, 4, [](core::InputWord x) { return x == 0 ? 12u : 0u; });
+  auto target = StreamTarget::compile(lut, 2);
+  for (const std::size_t batch : {1u, 2u, 3u, 7u}) {
+    const auto report =
+        stream_simulate(target, sequence, &reference, kTech, batch);
+    EXPECT_EQ(report.output_toggles, 0u) << "batch " << batch;
+    EXPECT_EQ(report.mismatches, 2u) << "batch " << batch;
+    EXPECT_EQ(report.total_energy, 7 * lut.cost().read_energy)
+        << "batch " << batch;
+  }
+}
+
 // ---- Multi-producer engine ----------------------------------------------
 
 /// The engine's documented deterministic drain order: round-robin over the

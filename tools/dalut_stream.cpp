@@ -21,8 +21,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "core/bssa.hpp"
@@ -251,6 +253,28 @@ int main(int argc, char** argv) {
   cli.add_option("listen", "",
                  "host:port for a live /metrics endpoint (empty = off)");
   if (!cli.parse(argc, argv)) return 0;
+
+  // The options are read through static_cast to size_t / unsigned, so a
+  // value out of range would wrap: --batch 0 never advanced the producers
+  // and --reconfigs -1 asked for 4294967295 swaps. --width must leave the
+  // searched system's bound set, max(2, width / 2) inputs, a proper subset
+  // (width >= 3) and fit the monolithic LUT's address decoder.
+  constexpr std::tuple<const char*, std::int64_t, std::int64_t> kRanges[] = {
+      {"width", 3, hw::LutRam::kMaxAddrBits},
+      {"producers", 1, std::numeric_limits<std::int64_t>::max()},
+      {"batch", 1, std::numeric_limits<std::int64_t>::max()},
+      {"ring", 1, std::numeric_limits<std::int64_t>::max()},
+      {"reads", 1, std::numeric_limits<std::int64_t>::max()},
+      {"reconfigs", 1, std::numeric_limits<unsigned>::max()}};
+  for (const auto& [name, min, max] : kRanges) {
+    const std::int64_t value = cli.integer(name);
+    if (value < min || value > max) {
+      std::fprintf(stderr, "error: --%s must be an integer in [%lld, %lld]\n",
+                   name, static_cast<long long>(min),
+                   static_cast<long long>(max));
+      return 2;
+    }
+  }
 
   const auto benchmark = cli.str("benchmark");
   const auto width = static_cast<unsigned>(cli.integer("width"));
