@@ -18,7 +18,10 @@ Asserts that:
      (0 < min <= mean <= max), and
   5. the config records the host's CPU count and whether the run was
      oversubscribed (producers + consumer + reconfiguration writer >
-     host_cpus), so oversubscribed rows can be told apart.
+     host_cpus), so oversubscribed rows can be told apart, and
+  6. the BTO-Normal-ND swaps re-flattened at least one unit each on
+     average (reconfig.units_reflattened >= 1), so their latency measures
+     real re-programming rather than a no-op diff.
 """
 
 import json
@@ -65,6 +68,11 @@ def main() -> int:
         lat_mean = reconfig["latency_us_mean"]
         lat_max = reconfig["latency_us_max"]
         assert 0 < lat_min <= lat_mean <= lat_max, reconfig
+
+    nd_reconfig = rows["bto_normal_nd"]["reconfig"]
+    assert nd_reconfig["units_reflattened"] >= 1, (
+        f"bto_normal_nd swaps re-flattened "
+        f"{nd_reconfig['units_reflattened']} units per swap")
 
     mono = rows["monolithic"]
     print(f"ok: {len(rows)} stream targets bit-identical; monolithic "

@@ -16,25 +16,6 @@ namespace {
 constexpr unsigned kIndexChunkBits = 8;
 constexpr std::size_t kIndexBlock = std::size_t{1} << kIndexChunkBits;
 
-/// Samples per index pass of eval_batch (a stack buffer of entries).
-constexpr std::size_t kIndexTile = 256;
-
-/// entry[i] = one unit's column (low half) and doubled free-table row (high
-/// half) for input x[i]: one index-table load per input byte, OR-combined.
-/// Chunks outer, samples inner keeps each pass a plain load-OR loop.
-void unit_entries(const std::uint64_t* index, unsigned chunks,
-                  const core::InputWord* x, std::uint64_t* entry,
-                  std::size_t count) noexcept {
-  for (std::size_t i = 0; i < count; ++i) entry[i] = 0;
-  for (unsigned c = 0; c < chunks; ++c) {
-    const std::uint64_t* block = index + c * kIndexBlock;
-    const unsigned shift = c * kIndexChunkBits;
-    for (std::size_t i = 0; i < count; ++i) {
-      entry[i] |= block[(x[i] >> shift) & (kIndexBlock - 1)];
-    }
-  }
-}
-
 }  // namespace
 
 // ---- Compilation --------------------------------------------------------
@@ -43,24 +24,33 @@ StreamTarget::StreamTarget(StreamTarget&& other) noexcept
     : num_inputs_(other.num_inputs_),
       num_outputs_(other.num_outputs_),
       static_read_energy_(other.static_read_energy_),
+      addr_shift_(other.addr_shift_),
+      addr_mask_(other.addr_mask_),
+      out_shift_(other.out_shift_),
       units_(std::move(other.units_)),
       index_(std::move(other.index_)),
       index_chunks_(other.index_chunks_),
+      units_reflattened_(other.units_reflattened_),
       monolithic_(other.monolithic_),
-      mono_addr_bits_(other.mono_addr_bits_),
       mono_width_(other.mono_width_),
-      mono_addr_mask_(other.mono_addr_mask_),
-      mono_addr_shift_(other.mono_addr_shift_),
-      mono_out_shift_(other.mono_out_shift_),
       images_{std::move(other.images_[0]), std::move(other.images_[1])},
       published_(other.published_.load(std::memory_order_relaxed)),
       applied_(other.applied_.load(std::memory_order_relaxed)) {}
 
 StreamTarget StreamTarget::compile(const ApproxLutSystem& system) {
+  // The flat image holds 2^n words, the same bound and memory as a
+  // monolithic LUT of n address bits.
+  if (system.num_inputs() > LutRam::kMaxAddrBits) {
+    throw std::invalid_argument(
+        "StreamTarget::compile: " + std::to_string(system.num_inputs()) +
+        " inputs exceed the flat image bound of " +
+        std::to_string(LutRam::kMaxAddrBits));
+  }
   StreamTarget target;
   target.num_inputs_ = system.num_inputs();
   target.num_outputs_ = system.num_outputs();
   target.static_read_energy_ = system.cost().read_energy;
+  target.addr_mask_ = (std::uint32_t{1} << target.num_inputs_) - 1;
   target.monolithic_ = false;
 
   const unsigned chunks =
@@ -100,10 +90,16 @@ StreamTarget StreamTarget::compile(const ApproxLutSystem& system) {
     target.units_.push_back(compiled);
   }
 
-  for (TableImage& image : target.images_) {
-    image.bytes_.assign(arena_size, 0);
+  // Both images start as the compiled system, so the first reconfigure()
+  // diffs against real contents.
+  TableImage& first = target.images_[0];
+  first.bytes_.assign(arena_size, 0);
+  first.words_.assign(std::size_t{1} << target.num_inputs_, 0);
+  for (std::size_t k = 0; k < target.units_.size(); ++k) {
+    target.store_unit(first, k, system.units()[k].decomposition());
+    target.flatten_unit(first, k);
   }
-  target.fill_image(target.images_[0], system);
+  target.images_[1] = first;
   return target;
 }
 
@@ -113,40 +109,95 @@ StreamTarget StreamTarget::compile(const MonolithicLut& lut,
   target.num_inputs_ = lut.ram().addr_bits() + lut.addr_shift();
   target.num_outputs_ = num_outputs;
   target.static_read_energy_ = lut.cost().read_energy;
+  target.addr_shift_ = lut.addr_shift();
+  target.addr_mask_ = lut.ram().addr_mask();
+  target.out_shift_ = lut.out_shift();
   target.monolithic_ = true;
-  target.mono_addr_bits_ = lut.ram().addr_bits();
   target.mono_width_ = lut.ram().width();
-  target.mono_addr_mask_ = lut.ram().addr_mask();
-  target.mono_addr_shift_ = lut.addr_shift();
-  target.mono_out_shift_ = lut.out_shift();
 
+  const auto& contents = lut.ram().contents();
   for (TableImage& image : target.images_) {
-    image.words_.assign(lut.ram().entries(), 0);
+    image.words_.assign(contents.begin(), contents.end());
   }
-  target.fill_image(target.images_[0], lut);
   return target;
 }
 
-void StreamTarget::fill_image(TableImage& image,
-                              const ApproxLutSystem& system) const {
-  for (std::size_t k = 0; k < units_.size(); ++k) {
-    const CompiledUnit& compiled = units_[k];
-    const core::DecomposedBit& bit =
-        system.units()[k].decomposition();
-    const auto arena = image.bytes_.begin();
-    std::copy(bit.bound_table().begin(), bit.bound_table().end(),
-              arena + static_cast<std::ptrdiff_t>(compiled.bound_off));
-    std::copy(bit.free_table0().begin(), bit.free_table0().end(),
-              arena + static_cast<std::ptrdiff_t>(compiled.free0_off));
-    std::copy(bit.free_table1().begin(), bit.free_table1().end(),
-              arena + static_cast<std::ptrdiff_t>(compiled.free1_off));
-  }
+bool StreamTarget::store_unit(TableImage& image, std::size_t k,
+                              const core::DecomposedBit& bit) const {
+  const CompiledUnit& unit = units_[k];
+  bool changed = false;
+  const auto store = [&](const std::vector<std::uint8_t>& table,
+                         std::size_t offset) {
+    const auto at = image.bytes_.begin() + static_cast<std::ptrdiff_t>(offset);
+    if (!std::equal(table.begin(), table.end(), at)) {
+      std::copy(table.begin(), table.end(), at);
+      changed = true;
+    }
+  };
+  store(bit.bound_table(), unit.bound_off);
+  store(bit.free_table0(), unit.free0_off);
+  store(bit.free_table1(), unit.free1_off);
+  return changed;
 }
 
-void StreamTarget::fill_image(TableImage& image,
-                              const MonolithicLut& lut) const {
-  const auto& contents = lut.ram().contents();
-  std::copy(contents.begin(), contents.end(), image.words_.begin());
+void StreamTarget::flatten_unit(TableImage& image,
+                                std::size_t k) const noexcept {
+  // Ordered x: the 256 words of a block share every input byte but the
+  // lowest, so a read's index entry is block 0's entry for the low byte
+  // OR-ed with one per-block constant for the higher bytes. Every select
+  // is arithmetic, not a branch: on random contents a `? :` on a table bit
+  // mispredicts half the time.
+  const CompiledUnit& unit = units_[k];
+  const std::uint64_t* index = index_.data() + unit.index_off;
+  const std::uint8_t* bound = image.bytes_.data() + unit.bound_off;
+  const std::uint8_t* free0 = image.bytes_.data() + unit.free0_off;
+  const std::uint8_t* free1 = image.bytes_.data() + unit.free1_off;
+  const std::uint32_t keep = ~(std::uint32_t{1} << k);
+  const std::size_t domain = image.words_.size();
+  for (std::size_t base = 0; base < domain; base += kIndexBlock) {
+    std::uint64_t high = 0;
+    for (unsigned c = 1; c < index_chunks_; ++c) {
+      high |= index[c * kIndexBlock +
+                    ((base >> (c * kIndexChunkBits)) & (kIndexBlock - 1))];
+    }
+    const std::size_t block = std::min(kIndexBlock, domain - base);
+    std::uint32_t* w = image.words_.data() + base;
+    switch (unit.mode) {
+      case core::DecompMode::kBto: {
+        for (std::size_t i = 0; i < block; ++i) {
+          const std::uint32_t col =
+              static_cast<std::uint32_t>(index[i] | high);
+          w[i] = (w[i] & keep) | (std::uint32_t(bound[col] != 0) << k);
+        }
+        break;
+      }
+      case core::DecompMode::kNormal: {
+        for (std::size_t i = 0; i < block; ++i) {
+          const std::uint64_t entry = index[i] | high;
+          const std::uint64_t phi =
+              bound[static_cast<std::uint32_t>(entry)] != 0;
+          w[i] = (w[i] & keep) |
+                 (std::uint32_t(free0[(entry >> 32) | phi] != 0) << k);
+        }
+        break;
+      }
+      case core::DecompMode::kNonDisjoint: {
+        const unsigned shared_bit = unit.shared_bit;
+        for (std::size_t i = 0; i < block; ++i) {
+          const std::uint64_t entry = index[i] | high;
+          const std::uint64_t phi =
+              bound[static_cast<std::uint32_t>(entry)] != 0;
+          const std::uint64_t slot = (entry >> 32) | phi;
+          // x_s picks free1 over free0 by masking, both bytes loaded.
+          const unsigned xs = ((base + i) >> shared_bit) & 1u;
+          const unsigned value =
+              (free0[slot] & (xs - 1u)) | (free1[slot] & (0u - xs));
+          w[i] = (w[i] & keep) | (std::uint32_t(value != 0) << k);
+        }
+        break;
+      }
+    }
+  }
 }
 
 void StreamTarget::check_shape(const ApproxLutSystem& system) const {
@@ -171,10 +222,9 @@ void StreamTarget::check_shape(const ApproxLutSystem& system) const {
 }
 
 void StreamTarget::check_shape(const MonolithicLut& lut) const {
-  if (!monolithic_ || lut.ram().addr_bits() != mono_addr_bits_ ||
-      lut.ram().width() != mono_width_ ||
-      lut.addr_shift() != mono_addr_shift_ ||
-      lut.out_shift() != mono_out_shift_) {
+  if (!monolithic_ || lut.ram().addr_mask() != addr_mask_ ||
+      lut.ram().width() != mono_width_ || lut.addr_shift() != addr_shift_ ||
+      lut.out_shift() != out_shift_) {
     throw std::invalid_argument(
         "StreamTarget::reconfigure: LUT geometry mismatch "
         "(reconfiguration swaps contents only)");
@@ -193,106 +243,50 @@ TableImage& StreamTarget::inactive_image() {
   return images_[(published + 1) & 1];
 }
 
-TableImage& StreamTarget::begin_update() {
-  TableImage& next = inactive_image();
-  const TableImage& active =
-      images_[published_.load(std::memory_order_relaxed) & 1];
-  next.bytes_ = active.bytes_;
-  next.words_ = active.words_;
-  return next;
-}
-
 std::uint64_t StreamTarget::commit_update() noexcept {
   return published_.fetch_add(1, std::memory_order_release) + 1;
 }
 
-// Both fill_image overloads overwrite the whole image, so the swaps skip
-// begin_update()'s copy of the active contents.
+// The inactive image holds the contents published two epochs ago (or the
+// compiled ones), and its words are the flattening of its own arena, so
+// patching the units whose tables differ from that arena is exact.
 std::uint64_t StreamTarget::reconfigure(const ApproxLutSystem& system) {
+  static const auto reflattened_counter =
+      util::telemetry::Counter::get("stream.reconfig.units_reflattened");
   check_shape(system);
-  fill_image(inactive_image(), system);
+  TableImage& next = inactive_image();
+  std::uint64_t changed = 0;
+  for (std::size_t k = 0; k < units_.size(); ++k) {
+    if (store_unit(next, k, system.units()[k].decomposition())) {
+      flatten_unit(next, k);
+      ++changed;
+    }
+  }
+  units_reflattened_ += changed;
+  reflattened_counter.add(changed);
   return commit_update();
 }
 
 std::uint64_t StreamTarget::reconfigure(const MonolithicLut& lut) {
   check_shape(lut);
-  fill_image(inactive_image(), lut);
+  const auto& contents = lut.ram().contents();
+  std::copy(contents.begin(), contents.end(),
+            inactive_image().words_.begin());
   return commit_update();
 }
 
-// ---- Batch kernels ------------------------------------------------------
+// ---- Batch kernel -------------------------------------------------------
 
 void StreamTarget::eval_batch(const TableImage& image,
                               const core::InputWord* x, core::OutputWord* y,
                               std::size_t count) const noexcept {
-  if (monolithic_) {
-    const std::uint32_t* words = image.words_.data();
-    const unsigned addr_shift = mono_addr_shift_;
-    const unsigned out_shift = mono_out_shift_;
-    const std::uint32_t mask = mono_addr_mask_;
-    for (std::size_t i = 0; i < count; ++i) {
-      y[i] = static_cast<core::OutputWord>(words[(x[i] >> addr_shift) & mask]
-                                           << out_shift);
-    }
-    return;
-  }
-
-  // Structure of arrays: per tile of samples, units outer and samples
-  // inner, so one unit's index and content tables stay cache resident
-  // across the tile. A unit first resolves every sample's column and row
-  // with one index-table load per input byte (see index_), then reads its
-  // data-dependent table bytes; those gathers are why the loops stay scalar
-  // (util/simd.hpp has no gather granule). Every select is arithmetic, not
-  // a branch: on random inputs a `? :` on a table bit mispredicts half the
-  // time.
-  const std::uint8_t* bytes = image.bytes_.data();
-  std::uint64_t entry[kIndexTile];
-  for (std::size_t base = 0; base < count; base += kIndexTile) {
-    const std::size_t tile = std::min(kIndexTile, count - base);
-    const core::InputWord* xt = x + base;
-    core::OutputWord* yt = y + base;
-    for (std::size_t i = 0; i < tile; ++i) yt[i] = 0;
-    for (std::size_t k = 0; k < units_.size(); ++k) {
-      const CompiledUnit& unit = units_[k];
-      unit_entries(index_.data() + unit.index_off, index_chunks_, xt, entry,
-                   tile);
-      const std::uint8_t* bound = bytes + unit.bound_off;
-      switch (unit.mode) {
-        case core::DecompMode::kBto: {
-          for (std::size_t i = 0; i < tile; ++i) {
-            const std::uint32_t col = static_cast<std::uint32_t>(entry[i]);
-            yt[i] |= core::OutputWord(bound[col] != 0) << k;
-          }
-          break;
-        }
-        case core::DecompMode::kNormal: {
-          const std::uint8_t* free0 = bytes + unit.free0_off;
-          for (std::size_t i = 0; i < tile; ++i) {
-            const std::uint64_t phi =
-                bound[static_cast<std::uint32_t>(entry[i])] != 0;
-            yt[i] |= core::OutputWord(free0[(entry[i] >> 32) | phi] != 0)
-                     << k;
-          }
-          break;
-        }
-        case core::DecompMode::kNonDisjoint: {
-          const std::uint8_t* free0 = bytes + unit.free0_off;
-          const std::uint8_t* free1 = bytes + unit.free1_off;
-          const unsigned shared_bit = unit.shared_bit;
-          for (std::size_t i = 0; i < tile; ++i) {
-            const std::uint64_t phi =
-                bound[static_cast<std::uint32_t>(entry[i])] != 0;
-            const std::uint64_t slot = (entry[i] >> 32) | phi;
-            // x_s picks free1 over free0 by masking, both bytes loaded.
-            const unsigned xs = (xt[i] >> shared_bit) & 1u;
-            const unsigned value =
-                (free0[slot] & (xs - 1u)) | (free1[slot] & (0u - xs));
-            yt[i] |= core::OutputWord(value != 0) << k;
-          }
-          break;
-        }
-      }
-    }
+  const std::uint32_t* words = image.words_.data();
+  const unsigned addr_shift = addr_shift_;
+  const unsigned out_shift = out_shift_;
+  const std::uint32_t mask = addr_mask_;
+  for (std::size_t i = 0; i < count; ++i) {
+    y[i] = static_cast<core::OutputWord>(words[(x[i] >> addr_shift) & mask]
+                                         << out_shift);
   }
 }
 
@@ -379,7 +373,7 @@ StreamReport StreamEngine::run(const core::MultiOutputFunction* reference) {
         ++stream.wait_spins;
         // Idle: no batch in flight, so the newest published contents are
         // trivially safe to retire. Keeps a concurrent writer's
-        // begin_update() live while producers are slow.
+        // reconfigure() live while producers are slow.
         target_.mark_applied(target_.published_epoch());
         std::this_thread::yield();
         avail = ring.size();
@@ -412,7 +406,7 @@ StreamReport StreamEngine::run(const core::MultiOutputFunction* reference) {
   }
   stream.elapsed_seconds = timer.seconds();
   // Stream finished: retire whatever is published so a writer blocked in
-  // begin_update() is released.
+  // reconfigure() is released.
   target_.mark_applied(target_.published_epoch());
   wait_counter.add(stream.wait_spins);
 

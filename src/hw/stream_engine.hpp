@@ -4,24 +4,28 @@
 // The cycle-accurate simulator (hw/simulator) verifies one read at a time
 // through a std::function hop. This layer is its throughput backend: a
 // StreamTarget *compiles* a programmed ApproxLutSystem / MonolithicLut into
-// flat table arenas plus per-unit byte-split index tables (the partition's
-// column/row extraction, precomputed per input byte), so a whole batch of
-// sample words is evaluated by devirtualized, branch-free structure-of-arrays
-// kernels — no indirect call, no virtual dispatch, no per-bit PEXT loop,
-// tables hot in cache across the batch. Accounting (reads, output toggles,
-// mismatches, energy) is simulate()'s own: integer counters fed through
-// hw::accumulate_batch and priced in one closed form, so a StreamEngine
-// report equals simulate()'s on the same sequence under operator==, however
-// the sequence is batched: a drop-in faster backend, not a fork.
+// a flat word image, and every batch is served by one devirtualized word
+// kernel, y = words[(x >> addr_shift) & mask] << out_shift — no indirect
+// call, no per-unit work at read time. A monolithic target's image is its
+// RAM contents; an approximate system's is its 2^n-word truth table, which
+// ApproxLutSystem::read defines as a pure function of x. The modeled
+// hardware is still the decomposed architecture: accounting (reads, output
+// toggles, mismatches, energy) is simulate()'s own, integer counters fed
+// through hw::accumulate_batch and priced with the system's per-read
+// energy, so a StreamEngine report equals simulate()'s on the same sequence
+// under operator==, however the sequence is batched: a drop-in faster
+// backend, not a fork.
 //
 // Runtime reconfiguration follows the dynamic-reconfiguration approximate-
 // multiplier scheme (PAPERS.md): LUT contents are double-buffered in two
-// TableImage generations selected by an epoch counter. A writer fills the
-// inactive image and publishes it with one atomic release increment; the
-// consumer acquires the epoch once per batch, so in-flight batches always
-// finish on the table they started with — no torn reads — and the writer
-// can measure swap latency as publish -> first batch retired on the new
-// epoch.
+// TableImage generations selected by an epoch counter. The writer
+// (reconfigure) fills the inactive image and publishes it with one atomic
+// release increment; the consumer acquires the epoch once per batch, so
+// in-flight batches always finish on the table they started with — no torn
+// reads — and the writer can measure swap latency as publish -> first batch
+// retired on the new epoch. An approximate system's swap re-flattens only
+// the units whose tables differ from the ones the inactive image was last
+// flattened from.
 //
 // Producers feed the engine through lock-free SPSC rings
 // (util/spsc_ring.hpp), one per producer. The engine drains rings in a
@@ -44,34 +48,33 @@
 
 namespace dalut::hw {
 
-/// One generation of LUT contents in compiled form: a byte arena holding
-/// every unit's bound/free tables back to back (approx targets) or a packed
-/// word array (monolithic targets). Pure data — layout and interpretation
-/// belong to the StreamTarget that built it.
+/// One generation of LUT contents in compiled form: the word image reads
+/// index (the 2^n-word truth table of an approximate system, the packed RAM
+/// contents of a monolithic LUT) and, for approximate systems, the byte
+/// arena of unit bound/free tables that image was flattened from. Opaque —
+/// layout and interpretation belong to the StreamTarget that built it.
 class TableImage {
- public:
-  const std::uint8_t* unit_bytes() const noexcept { return bytes_.data(); }
-  const std::uint32_t* words() const noexcept { return words_.data(); }
-
  private:
   friend class StreamTarget;
   util::aligned_vector<std::uint8_t> bytes_;   ///< approx-unit tables
-  util::aligned_vector<std::uint32_t> words_;  ///< monolithic contents
+  util::aligned_vector<std::uint32_t> words_;  ///< served words
 };
 
 /// A compiled, devirtualized simulation target with double-buffered,
 /// epoch-swapped contents.
 ///
-/// Threading contract: at most one writer thread (begin_update /
-/// commit_update / reconfigure) and at most one consumer thread (acquire /
-/// mark_applied, i.e. one StreamEngine::run or stream_simulate at a time).
-/// The structural shape — unit count, partitions, modes, word widths — is
-/// frozen at compile(); reconfiguration swaps *contents* only, exactly like
-/// re-programming the DFF arrays of the physical LUTs.
+/// Threading contract: at most one writer thread (reconfigure) and at most
+/// one consumer thread (acquire / mark_applied, i.e. one StreamEngine::run
+/// or stream_simulate at a time). The structural shape — unit count,
+/// partitions, modes, word widths — is frozen at compile(); reconfiguration
+/// swaps *contents* only, exactly like re-programming the DFF arrays of the
+/// physical LUTs.
 class StreamTarget {
  public:
-  /// Compiles the system's units (index tables, modes, table offsets)
-  /// and snapshots its contents into epoch 0's image.
+  /// Compiles the system's units (index tables, modes, table offsets),
+  /// snapshots its contents and flattens them into both images' 2^n words.
+  /// Throws std::invalid_argument above LutRam::kMaxAddrBits inputs, the
+  /// bound of a monolithic target's table.
   static StreamTarget compile(const ApproxLutSystem& system);
   static StreamTarget compile(const MonolithicLut& lut, unsigned num_outputs);
 
@@ -102,24 +105,28 @@ class StreamTarget {
     return applied_.load(std::memory_order_acquire);
   }
 
-  /// Writer: returns the inactive image, pre-loaded with a copy of the
-  /// active contents, ready to mutate. Blocks until the consumer has
-  /// retired the previous epoch (applied_epoch() >= published_epoch()), so
-  /// it never scribbles over an image a batch is still reading. With no
-  /// consumer attached, call mark_applied(published_epoch()) first.
-  TableImage& begin_update();
-  /// Writer: publishes the image from begin_update(); returns the new
-  /// epoch. In-flight batches finish on the old image.
-  std::uint64_t commit_update() noexcept;
-
-  /// Shape-checked whole-target content swaps built on commit_update(): the
-  /// source must match the compiled structure exactly (same units,
-  /// partitions, modes / same geometry and shifts). Throws
-  /// std::invalid_argument otherwise. They overwrite every byte of the
-  /// inactive image, so unlike begin_update() they skip the copy of the
-  /// active contents (same retire wait). Returns the new epoch.
+  /// Writer: shape-checked content swaps. The source must match the
+  /// compiled structure exactly (same units, partitions, modes / same
+  /// geometry and shifts); throws std::invalid_argument otherwise. Blocks
+  /// until the consumer has retired the previous epoch (applied_epoch() >=
+  /// published_epoch()), so it never scribbles over an image a batch is
+  /// still reading; with no consumer attached, call
+  /// mark_applied(published_epoch()) first. Then fills the inactive image
+  /// and publishes it; in-flight batches finish on the old image. Returns
+  /// the new epoch.
+  ///
+  /// The system overload compares each unit's tables with the ones the
+  /// inactive image was last flattened from and re-flattens only the units
+  /// that differ (one output bit lane of the 2^n words each); an unchanged
+  /// unit costs one table comparison. The LUT overload copies the table.
   std::uint64_t reconfigure(const ApproxLutSystem& system);
   std::uint64_t reconfigure(const MonolithicLut& lut);
+
+  /// Units re-flattened by reconfigure() over this target's lifetime (also
+  /// counted in stream.reconfig.units_reflattened). Writer thread only.
+  std::uint64_t units_reflattened() const noexcept {
+    return units_reflattened_;
+  }
 
   /// Consumer: acquires the current contents for one batch. The returned
   /// image stays valid until mark_applied() confirms an epoch >= the one
@@ -153,16 +160,27 @@ class StreamTarget {
   };
 
   /// Waits until the consumer retired the published epoch and returns the
-  /// inactive image, contents unspecified.
+  /// inactive image.
   TableImage& inactive_image();
-  void fill_image(TableImage& image, const ApproxLutSystem& system) const;
-  void fill_image(TableImage& image, const MonolithicLut& lut) const;
+  /// Publishes the inactive image; returns the new epoch.
+  std::uint64_t commit_update() noexcept;
+  /// Copies unit k's tables into `image`'s arena unless they are already
+  /// there; returns whether anything changed.
+  bool store_unit(TableImage& image, std::size_t k,
+                  const core::DecomposedBit& bit) const;
+  /// Re-flatten engine: rewrites output bit k of every word of `image`
+  /// from unit k's tables in its arena.
+  void flatten_unit(TableImage& image, std::size_t k) const noexcept;
   void check_shape(const ApproxLutSystem& system) const;
   void check_shape(const MonolithicLut& lut) const;
 
   unsigned num_inputs_ = 0;
   unsigned num_outputs_ = 0;
   double static_read_energy_ = 0.0;
+  // The word kernel's read transform (0, 2^n - 1, 0 for approx targets).
+  unsigned addr_shift_ = 0;
+  std::uint32_t addr_mask_ = 0;
+  unsigned out_shift_ = 0;
 
   // Approx form: one CompiledUnit per output bit, tables in bytes_.
   std::vector<CompiledUnit> units_;
@@ -174,13 +192,10 @@ class StreamTarget {
   // (high half). Structure, not contents: reconfiguration never touches it.
   std::vector<std::uint64_t> index_;
   unsigned index_chunks_ = 0;
-  // Monolithic form: packed words plus the read transform.
+  std::uint64_t units_reflattened_ = 0;
+  // Monolithic geometry, for the shape check.
   bool monolithic_ = false;
-  unsigned mono_addr_bits_ = 0;
   unsigned mono_width_ = 0;
-  std::uint32_t mono_addr_mask_ = 0;
-  unsigned mono_addr_shift_ = 0;
-  unsigned mono_out_shift_ = 0;
 
   TableImage images_[2];  ///< double buffer; active = published_ & 1
   std::atomic<std::uint64_t> published_{0};

@@ -107,15 +107,16 @@ std::vector<core::RowType> random_types(std::size_t count, util::Rng& rng) {
 /// A random n-input system cycling Normal, BTO and ND units. Unit 0's bound
 /// set straddles the byte boundary at input 8 (bits 6..8), and the ND units
 /// share input 8 or higher, so every index chunk carries column and row
-/// bits. `contents_seed` varies only the table contents: two calls with the
+/// bits. `fill_of(k)` supplies unit k's table contents; two calls with the
 /// same `structure_seed` give the same partitions and modes.
-core::ApproxLut random_all_modes_lut(unsigned n, std::uint64_t structure_seed,
-                                     std::uint64_t contents_seed) {
+template <typename FillOf>
+core::ApproxLut filled_all_modes_lut(unsigned n, std::uint64_t structure_seed,
+                                     FillOf&& fill_of) {
   util::Rng shape(structure_seed);
-  util::Rng fill(contents_seed);
   const unsigned outputs = 7;
   std::vector<core::Setting> settings;
   for (unsigned k = 0; k < outputs; ++k) {
+    util::Rng& fill = fill_of(k);
     core::Setting s;
     s.error = 0.0;
     const unsigned bound_size =
@@ -143,6 +144,25 @@ core::ApproxLut random_all_modes_lut(unsigned n, std::uint64_t structure_seed,
     settings.push_back(std::move(s));
   }
   return core::ApproxLut::realize(n, settings);
+}
+
+/// All units' contents drawn from one `contents_seed` stream.
+core::ApproxLut random_all_modes_lut(unsigned n, std::uint64_t structure_seed,
+                                     std::uint64_t contents_seed) {
+  util::Rng fill(contents_seed);
+  return filled_all_modes_lut(
+      n, structure_seed, [&](unsigned) -> util::Rng& { return fill; });
+}
+
+/// Unit k's contents drawn from its own `unit_seeds[k]` stream, so systems
+/// that share a seed share that unit's tables.
+core::ApproxLut random_all_modes_lut(
+    unsigned n, std::uint64_t structure_seed,
+    const std::vector<std::uint64_t>& unit_seeds) {
+  std::vector<util::Rng> fills;
+  for (const std::uint64_t seed : unit_seeds) fills.emplace_back(seed);
+  return filled_all_modes_lut(
+      n, structure_seed, [&](unsigned k) -> util::Rng& { return fills[k]; });
 }
 
 /// eval_batch on `image` against ApproxLutSystem::read, word by word.
@@ -265,6 +285,68 @@ TEST(StreamEngine, RandomSystemsMatchReadAcrossIndexByteBoundaries) {
     target.reconfigure(next);
     expect_reads_match(target, next, words);
   }
+}
+
+TEST(StreamEngine, ReconfigureChainReflattensOnlyChangedUnits) {
+  // Same-structure systems whose consecutive members differ in zero, one,
+  // several and all units, and one that returns to the contents two swaps
+  // back. reconfigure() diffs against the inactive image, which holds the
+  // system published two swaps earlier (both images hold the compiled one
+  // at first), and must re-flatten exactly the units that differ from it.
+  const std::vector<std::vector<std::uint64_t>> chain = {
+      {1, 2, 3, 4, 5, 6, 7},         // compiled
+      {1, 2, 3, 4, 5, 6, 7},         // no unit changed
+      {1, 2, 3, 40, 5, 6, 7},        // one
+      {10, 2, 30, 40, 5, 50, 7},     // several
+      {11, 12, 13, 14, 15, 16, 17},  // all
+      {11, 12, 13, 14, 15, 16, 70},  // one
+      {11, 21, 13, 14, 24, 16, 70},  // several
+      {11, 12, 13, 14, 15, 16, 70},  // back to two swaps earlier
+  };
+  for (const unsigned n : {9u, 14u, 17u}) {
+    SCOPED_TRACE("n = " + std::to_string(n));
+    std::vector<core::InputWord> domain(std::size_t{1} << n);
+    for (std::size_t i = 0; i < domain.size(); ++i) {
+      domain[i] = static_cast<core::InputWord>(i);
+    }
+    const ApproxLutSystem first(
+        ArchKind::kBtoNormalNd, random_all_modes_lut(n, 500 + n, chain[0]),
+        kTech);
+    auto target = StreamTarget::compile(first);
+    expect_reads_match(target, first, domain);
+    EXPECT_EQ(target.units_reflattened(), 0u);
+
+    for (std::size_t step = 1; step < chain.size(); ++step) {
+      SCOPED_TRACE("step " + std::to_string(step));
+      const auto& two_back = chain[step < 2 ? 0 : step - 2];
+      std::uint64_t differing = 0;
+      for (std::size_t k = 0; k < chain[step].size(); ++k) {
+        differing += chain[step][k] != two_back[k] ? 1 : 0;
+      }
+      const ApproxLutSystem system(
+          ArchKind::kBtoNormalNd,
+          random_all_modes_lut(n, 500 + n, chain[step]), kTech);
+      const std::uint64_t before = target.units_reflattened();
+      const auto epoch = target.reconfigure(system);
+      EXPECT_EQ(target.units_reflattened() - before, differing);
+      expect_reads_match(target, system, domain);
+      target.mark_applied(epoch);
+    }
+  }
+}
+
+TEST(StreamEngine, CompileRejectsSystemsAboveTheFlatImageBound) {
+  // One BTO unit over 25 inputs: small tables, but a 2^25-word image.
+  const unsigned n = LutRam::kMaxAddrBits + 1;
+  core::Setting bto;
+  bto.error = 0.0;
+  bto.partition = core::Partition(n, 0xfffu);
+  bto.mode = core::DecompMode::kBto;
+  bto.pattern.assign(bto.partition.num_cols(), 1);
+  bto.types.assign(bto.partition.num_rows(), core::RowType::kPattern);
+  const ApproxLutSystem system(ArchKind::kBtoNormalNd,
+                               core::ApproxLut::realize(n, {bto}), kTech);
+  EXPECT_THROW(StreamTarget::compile(system), std::invalid_argument);
 }
 
 TEST(StreamEngine, TogglesUseCorrectedMaskedAccounting) {
@@ -476,10 +558,48 @@ TEST(StreamEngine, ReconfigureSwapsContentsBetweenBatches) {
   }
 }
 
+/// A writer thread publishes generations[1], [2], ... [0], [1], ... (epoch e
+/// holds generations[e % size]) while this thread evaluates batches. Every
+/// batch must be served entirely by the epoch it acquired: a single
+/// mixed-generation read would break the expectation.
+template <typename Source>
+void expect_no_torn_reads(StreamTarget& target,
+                          const std::vector<const Source*>& generations,
+                          const std::vector<core::InputWord>& sequence) {
+  std::vector<std::vector<core::OutputWord>> expected;
+  for (const Source* source : generations) {
+    expected.emplace_back();
+    for (const core::InputWord x : sequence) {
+      expected.back().push_back(source->read(x));
+    }
+  }
+
+  constexpr std::uint64_t kSwaps = 200;
+  std::thread writer([&] {
+    for (std::uint64_t s = 1; s <= kSwaps; ++s) {
+      target.reconfigure(*generations[s % generations.size()]);
+    }
+  });
+
+  std::vector<core::OutputWord> y(sequence.size());
+  std::uint64_t max_epoch = 0;
+  while (max_epoch < kSwaps) {
+    std::uint64_t epoch = 0;
+    const TableImage& image = target.acquire(epoch);
+    target.eval_batch(image, sequence.data(), y.data(), sequence.size());
+    const auto& want = expected[epoch % generations.size()];
+    for (std::size_t i = 0; i < sequence.size(); ++i) {
+      ASSERT_EQ(y[i], want[i]) << "torn read at epoch " << epoch;
+    }
+    target.mark_applied(epoch);
+    max_epoch = std::max(max_epoch, epoch);
+  }
+  writer.join();
+  EXPECT_EQ(target.published_epoch(), kSwaps);
+}
+
 TEST(StreamEngine, NoTornReadsAcrossConcurrentSwapEpochs) {
-  // A writer thread flips identity <-> complement while the consumer
-  // evaluates batches. Every batch must be served entirely by the epoch it
-  // acquired: a single mixed-generation read would break the expectation.
+  // Monolithic: identity <-> complement, every entry re-programmed.
   std::vector<std::uint32_t> identity(256), complement(256);
   for (std::uint32_t i = 0; i < 256; ++i) {
     identity[i] = i;
@@ -487,33 +607,24 @@ TEST(StreamEngine, NoTornReadsAcrossConcurrentSwapEpochs) {
   }
   const MonolithicLut lut_a(8, 8, identity, kTech);
   const MonolithicLut lut_b(8, 8, complement, kTech);
-  auto target = StreamTarget::compile(lut_a, 8);
+  auto mono = StreamTarget::compile(lut_a, 8);
+  expect_no_torn_reads<MonolithicLut>(mono, {&lut_a, &lut_b},
+                                      random_sequence(64, 8, 17));
 
-  constexpr int kSwaps = 200;
-  std::thread writer([&] {
-    for (int s = 0; s < kSwaps; ++s) {
-      // Even published epochs hold identity, odd hold complement.
-      target.reconfigure(s % 2 == 0 ? lut_b : lut_a);
-    }
-  });
-
-  const auto sequence = random_sequence(64, 8, 17);
-  std::vector<core::OutputWord> y(sequence.size());
-  std::uint64_t max_epoch = 0;
-  while (max_epoch < kSwaps) {
-    std::uint64_t epoch = 0;
-    const TableImage& image = target.acquire(epoch);
-    target.eval_batch(image, sequence.data(), y.data(), sequence.size());
-    const auto& expected = epoch % 2 == 0 ? identity : complement;
-    for (std::size_t i = 0; i < sequence.size(); ++i) {
-      ASSERT_EQ(y[i], expected[sequence[i]])
-          << "torn read at epoch " << epoch;
-    }
-    target.mark_applied(epoch);
-    max_epoch = std::max(max_epoch, epoch);
+  // BTO-Normal-ND: three same-structure systems in rotation, so the image
+  // each swap writes always held a different system and every swap
+  // re-flattens units while the consumer reads the other image.
+  const unsigned n = 9;
+  std::vector<ApproxLutSystem> systems;
+  for (std::uint64_t contents = 0; contents < 3; ++contents) {
+    systems.emplace_back(ArchKind::kBtoNormalNd,
+                         random_all_modes_lut(n, 77, 900 + contents), kTech);
   }
-  writer.join();
-  EXPECT_EQ(target.published_epoch(), static_cast<std::uint64_t>(kSwaps));
+  auto nd = StreamTarget::compile(systems[0]);
+  expect_no_torn_reads<ApproxLutSystem>(
+      nd, {&systems[0], &systems[1], &systems[2]},
+      random_sequence(64, n, 19));
+  EXPECT_GT(nd.units_reflattened(), 0u);
 }
 
 TEST(StreamEngine, MidStreamReconfigurationObservedByEngine) {

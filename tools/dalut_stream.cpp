@@ -12,8 +12,8 @@
 //     must also be bit-identical,
 //
 // then times `--reconfigs` mid-stream content swaps against a live consumer
-// (full reconfiguration latency: begin_update wait + reprogram + publish +
-// first retire on the new epoch). Results go to stdout or `--out` as
+// (full reconfiguration latency: retire wait + reprogram + publish + first
+// retire on the new epoch). Results go to stdout or `--out` as
 // schema dalut-bench-report-v4 JSON with a "stream" section
 // (BENCH_PR10.json in the repo records a reference run; CI validates a
 // smoke run with scripts/check_stream_smoke.py). `--listen` exposes the
@@ -68,6 +68,7 @@ struct ReconfigStats {
   double min_us = 0.0;
   double mean_us = 0.0;
   double max_us = 0.0;
+  double units_reflattened = 0.0;  ///< per swap (0 for a monolithic LUT)
 };
 
 struct StreamRow {
@@ -136,6 +137,7 @@ ReconfigStats measure_reconfig(hw::StreamTarget& target, unsigned reconfigs,
 
   ReconfigStats stats;
   stats.count = reconfigs;
+  const std::uint64_t reflattened = target.units_reflattened();
   double total = 0.0;
   for (unsigned i = 0; i < reconfigs; ++i) {
     util::WallTimer timer;
@@ -147,6 +149,11 @@ ReconfigStats measure_reconfig(hw::StreamTarget& target, unsigned reconfigs,
     stats.max_us = std::max(stats.max_us, us);
   }
   stats.mean_us = reconfigs > 0 ? total / reconfigs : 0.0;
+  stats.units_reflattened =
+      reconfigs > 0 ? static_cast<double>(target.units_reflattened() -
+                                          reflattened) /
+                          reconfigs
+                    : 0.0;
   stop.store(true, std::memory_order_release);
   consumer.join();
   stats.observed = observed.load(std::memory_order_relaxed);
@@ -222,14 +229,14 @@ void write_json(std::FILE* out, const std::vector<StreamRow>& rows,
         "\"batches\": %zu, \"wait_spins\": %llu,\n"
         "     \"reconfig\": {\"count\": %zu, \"observed\": %llu, "
         "\"latency_us_min\": %.2f, \"latency_us_mean\": %.2f, "
-        "\"latency_us_max\": %.2f}}%s\n",
+        "\"latency_us_max\": %.2f, \"units_reflattened\": %.2f}}%s\n",
         r.target.c_str(), r.scalar_rps, r.stream_rps, r.engine_rps,
         r.scalar_rps > 0 ? r.stream_rps / r.scalar_rps : 0.0,
         r.bit_identical ? "true" : "false", r.batches,
         static_cast<unsigned long long>(r.wait_spins), r.reconfig.count,
         static_cast<unsigned long long>(r.reconfig.observed),
         r.reconfig.min_us, r.reconfig.mean_us, r.reconfig.max_us,
-        i + 1 < rows.size() ? "," : "");
+        r.reconfig.units_reflattened, i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(out, "  ]\n");
   std::fprintf(out, "}\n");
@@ -243,7 +250,13 @@ int main(int argc, char** argv) {
       "and times runtime LUT reconfiguration; emits schema-v4 JSON.");
   cli.add_option("benchmark", "cos", "function family to serve");
   cli.add_option("width", "10", "input/output bit width n");
-  cli.add_option("producers", "4", "producer threads feeding the engine");
+  // Producers + the consumer + the reconfiguration writer should fit the
+  // host: more threads than CPUs time the scheduler, not the engine.
+  const int host_cpus =
+      static_cast<int>(std::thread::hardware_concurrency());
+  cli.add_option("producers", std::to_string(std::clamp(host_cpus - 2, 1, 4)),
+                 "producer threads feeding the engine; defaults to host "
+                 "CPUs - 2, clamped to [1, 4]");
   cli.add_option("batch", "1024", "samples per batch");
   cli.add_option("ring", "16384", "per-producer ring capacity");
   cli.add_option("reads", "1048576", "sample count of the throughput run");
@@ -353,7 +366,8 @@ int main(int argc, char** argv) {
       params.sa.init_patterns = 6;
       params.seed = 3;
       const auto dist = core::InputDistribution::uniform(width);
-      const auto lut = core::run_bssa(g, dist, params).realize(width);
+      const auto searched = core::run_bssa(g, dist, params);
+      const auto lut = searched.realize(width);
       const auto reference = lut.to_function();
       const hw::ApproxLutSystem system(hw::ArchKind::kBtoNormalNd, lut, tech);
 
@@ -367,21 +381,36 @@ int main(int argc, char** argv) {
           [&] { return hw::StreamTarget::compile(system); });
 
       // Content re-programming of the same structure (partitions and modes
-      // are frozen at compile; the swap re-writes every table byte).
+      // are frozen at compile): swap i programs the searched system with
+      // output bit i mod m's pattern complemented. The image a swap writes
+      // held the system of two swaps earlier, so every swap re-flattens
+      // the units that differ from it (one or two).
+      std::vector<hw::ApproxLutSystem> flipped;
+      for (unsigned k = 0; k < g.num_outputs(); ++k) {
+        auto settings = searched.settings;
+        for (auto* pattern : {&settings[k].pattern, &settings[k].pattern0,
+                              &settings[k].pattern1}) {
+          for (auto& v : *pattern) v ^= 1;
+        }
+        flipped.emplace_back(hw::ArchKind::kBtoNormalNd,
+                             core::ApproxLut::realize(width, settings), tech);
+      }
       auto target = hw::StreamTarget::compile(system);
-      row.reconfig = measure_reconfig(target, reconfigs, width, seed + 2,
-                                      [&](unsigned) {
-                                        return target.reconfigure(system);
-                                      });
+      row.reconfig = measure_reconfig(
+          target, reconfigs, width, seed + 2, [&](unsigned i) {
+            return target.reconfigure(flipped[i % flipped.size()]);
+          });
       rows.push_back(row);
     }
 
     for (const auto& r : rows) {
       std::fprintf(stderr,
                    "%-14s scalar %12.0f r/s  stream %12.0f r/s  engine "
-                   "%12.0f r/s  identical=%s  reconfig %.1f us mean\n",
+                   "%12.0f r/s  identical=%s  reconfig %.1f us mean, "
+                   "%.2f units re-flattened\n",
                    r.target.c_str(), r.scalar_rps, r.stream_rps, r.engine_rps,
-                   r.bit_identical ? "yes" : "NO", r.reconfig.mean_us);
+                   r.bit_identical ? "yes" : "NO", r.reconfig.mean_us,
+                   r.reconfig.units_reflattened);
       if (!r.bit_identical) {
         std::fprintf(stderr,
                      "error: %s batched report diverged from simulate()\n",
