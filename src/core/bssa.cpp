@@ -1,10 +1,10 @@
 #include "core/bssa.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cstdlib>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "core/bit_cost.hpp"
@@ -114,7 +114,13 @@ void validate_resume(const SearchCheckpoint& ck, std::uint64_t digest,
 DecompositionResult run_bssa(const MultiOutputFunction& g,
                              const InputDistribution& dist,
                              const BssaParams& params) {
-  assert(params.bound_size >= 1 && params.bound_size < g.num_inputs());
+  // Checked in every build: a bound set as wide as the input space has no
+  // free set, and partition construction would index past the inputs.
+  if (params.bound_size < 1 || params.bound_size >= g.num_inputs()) {
+    throw std::invalid_argument(
+        "BS-SA bound-set size " + std::to_string(params.bound_size) +
+        " must be in [1, " + std::to_string(g.num_inputs()) + ")");
+  }
   const unsigned m = g.num_outputs();
   const bool reconfigurable = params.modes.allow_bto || params.modes.allow_nd;
   if (params.rounds < 1 || (reconfigurable && params.rounds < 2)) {

@@ -52,10 +52,13 @@ SuiteMetrics& suite_metrics() {
   return metrics;
 }
 
-core::MultiOutputFunction load_job_function(const SuiteJob& job) {
+}  // namespace
+
+core::MultiOutputFunction load_job_function(const SuiteJob& job,
+                                            core::TableLoadMode mode) {
   if (!job.table.empty()) {
     // Binary-mode open + container auto-detection (text or dalut-table-bin).
-    return core::load_function_file(job.table);
+    return core::load_function_file(job.table, mode);
   }
   if (auto spec = func::benchmark_by_name(job.benchmark, job.width)) {
     return core::MultiOutputFunction::from_eval(spec->num_inputs,
@@ -78,8 +81,95 @@ core::CostMetric metric_of(const std::string& name) {
 
 unsigned effective_bound(const SuiteJob& job, unsigned num_inputs) {
   if (job.bound != 0) return job.bound;
-  return std::max(2u, std::min(num_inputs - 1, (9u * num_inputs + 8) / 16));
+  return std::min(num_inputs - 1, std::max(2u, (9u * num_inputs + 8) / 16));
 }
+
+std::optional<core::LoadedCheckpoint> load_job_checkpoint(
+    const std::string& path) {
+  // Generation-aware: a torn/corrupt latest checkpoint falls back to
+  // "<path>.1"; with no loadable generation the job starts fresh.
+  auto loaded = core::load_checkpoint_with_fallback(path);
+  if (loaded && loaded->from_previous) {
+    obs::EventLog::instance().emit("checkpoint.fallback");
+  }
+  return loaded;
+}
+
+core::DecompositionResult run_search_job(
+    const SuiteJob& job, const core::MultiOutputFunction& g,
+    const core::InputDistribution& dist, util::ThreadPool* pool,
+    util::RunControl& control, const std::string& checkpoint_path,
+    unsigned checkpoint_every, const core::SearchCheckpoint* resume) {
+  const unsigned bound = effective_bound(job, g.num_inputs());
+  std::function<void(const core::SearchCheckpoint&)> sink;
+  if (!checkpoint_path.empty()) {
+    // Best-effort: a snapshot that cannot be persisted (full disk, injected
+    // fault) is dropped — the search must keep running; a crash then merely
+    // resumes from an older generation.
+    sink = [checkpoint_path](const core::SearchCheckpoint& ck) {
+      if (core::save_checkpoint_best_effort(checkpoint_path, ck)) {
+        obs::EventLog::instance().emit("checkpoint.save");
+      } else {
+        obs::EventLog::instance().emit("checkpoint.save_failure");
+        std::fprintf(stderr,
+                     "warning: checkpoint save to '%s' failed, continuing "
+                     "without this snapshot\n",
+                     checkpoint_path.c_str());
+      }
+    };
+  }
+
+  core::DecompositionResult result;
+  if (job.algorithm == "dalta") {
+    core::DaltaParams params;
+    params.bound_size = bound;
+    params.rounds = job.rounds;
+    params.partition_limit = job.partitions;
+    params.init_patterns = job.patterns;
+    params.metric = metric_of(job.metric);
+    params.seed = job.seed;
+    params.pool = pool;
+    params.control = &control;
+    params.checkpoint_every = sink ? checkpoint_every : 0;
+    params.checkpoint_sink = sink;
+    params.resume = resume;
+    result = core::run_dalta(g, dist, params);
+  } else {
+    core::BssaParams params;
+    params.bound_size = bound;
+    params.rounds = job.rounds;
+    params.beam_width = job.beams;
+    params.sa.partition_limit = job.partitions;
+    params.sa.init_patterns = job.patterns;
+    params.sa.chains = job.chains;
+    params.nd_candidates = job.nd_candidates;
+    if (job.arch == "bto-normal") {
+      params.modes = core::ModePolicy::bto_normal(job.delta);
+    } else if (job.arch == "bto-normal-nd") {
+      params.modes =
+          core::ModePolicy::bto_normal_nd(job.delta, job.delta_prime);
+    } else {
+      params.modes = core::ModePolicy::normal_only();
+    }
+    params.metric = metric_of(job.metric);
+    params.seed = job.seed;
+    params.pool = pool;
+    params.control = &control;
+    params.checkpoint_every = sink ? checkpoint_every : 0;
+    params.checkpoint_sink = sink;
+    params.resume = resume;
+    result = core::run_bssa(g, dist, params);
+  }
+  // A finished search leaves no stale checkpoint behind, including a *.tmp
+  // orphaned by an earlier crash mid-save.
+  if (result.status == util::RunStatus::kCompleted &&
+      !checkpoint_path.empty()) {
+    core::remove_checkpoint(checkpoint_path);
+  }
+  return result;
+}
+
+namespace {
 
 /// Shared mutable state of one run_suite call (trajectory rows arrive from
 /// whichever worker carries each job).
@@ -169,79 +259,23 @@ void run_rounding_job(const SuiteJob& job, const core::MultiOutputFunction& g,
   out.status = util::RunStatus::kCompleted;
 }
 
-void run_search_job(const SuiteJob& job, const core::MultiOutputFunction& g,
-                    const core::InputDistribution& dist, SuiteState& state,
-                    util::RunControl& control, JobOutcome& out) {
+/// The suite's search job: resumes from "<checkpoint-dir>/<job>.ck" when one
+/// loads, and discards a checkpoint the job's parameters no longer match.
+void run_suite_search(const SuiteJob& job, const core::MultiOutputFunction& g,
+                      const core::InputDistribution& dist, SuiteState& state,
+                      util::RunControl& control, JobOutcome& out) {
   const SuiteOptions& options = *state.options;
-  const unsigned bound = effective_bound(job, g.num_inputs());
-
   std::string checkpoint_path;
-  std::function<void(const core::SearchCheckpoint&)> sink;
+  std::optional<core::SearchCheckpoint> resume_state;
   if (!options.checkpoint_dir.empty()) {
     checkpoint_path = options.checkpoint_dir + "/" + job.name + ".ck";
-    // Best-effort: a snapshot that cannot be persisted (full disk, injected
-    // fault) is dropped — the search must keep running; a crash then merely
-    // resumes from an older generation.
-    sink = [checkpoint_path](const core::SearchCheckpoint& ck) {
-      if (core::save_checkpoint_best_effort(checkpoint_path, ck)) {
-        obs::EventLog::instance().emit("checkpoint.save");
-      } else {
-        obs::EventLog::instance().emit("checkpoint.save_failure");
-      }
-    };
-  }
-  std::optional<core::SearchCheckpoint> resume_state;
-  if (!checkpoint_path.empty()) {
-    // Generation-aware: a torn/corrupt latest checkpoint falls back to
-    // "<path>.1"; with no loadable generation the job starts fresh.
-    if (auto loaded = core::load_checkpoint_with_fallback(checkpoint_path)) {
-      if (loaded->from_previous) {
-        obs::EventLog::instance().emit("checkpoint.fallback");
-      }
+    if (auto loaded = load_job_checkpoint(checkpoint_path)) {
       resume_state = std::move(loaded->checkpoint);
     }
   }
-
   auto run_once = [&](const core::SearchCheckpoint* resume) {
-    if (job.algorithm == "dalta") {
-      core::DaltaParams params;
-      params.bound_size = bound;
-      params.rounds = job.rounds;
-      params.partition_limit = job.partitions;
-      params.init_patterns = job.patterns;
-      params.metric = metric_of(job.metric);
-      params.seed = job.seed;
-      params.pool = options.pool;
-      params.control = &control;
-      params.checkpoint_every = sink ? options.checkpoint_every : 0;
-      params.checkpoint_sink = sink;
-      params.resume = resume;
-      return core::run_dalta(g, dist, params);
-    }
-    core::BssaParams params;
-    params.bound_size = bound;
-    params.rounds = job.rounds;
-    params.beam_width = job.beams;
-    params.sa.partition_limit = job.partitions;
-    params.sa.init_patterns = job.patterns;
-    params.sa.chains = job.chains;
-    params.nd_candidates = job.nd_candidates;
-    if (job.arch == "bto-normal") {
-      params.modes = core::ModePolicy::bto_normal(job.delta);
-    } else if (job.arch == "bto-normal-nd") {
-      params.modes =
-          core::ModePolicy::bto_normal_nd(job.delta, job.delta_prime);
-    } else {
-      params.modes = core::ModePolicy::normal_only();
-    }
-    params.metric = metric_of(job.metric);
-    params.seed = job.seed;
-    params.pool = options.pool;
-    params.control = &control;
-    params.checkpoint_every = sink ? options.checkpoint_every : 0;
-    params.checkpoint_sink = sink;
-    params.resume = resume;
-    return core::run_bssa(g, dist, params);
+    return run_search_job(job, g, dist, options.pool, control,
+                          checkpoint_path, options.checkpoint_every, resume);
   };
 
   core::DecompositionResult result;
@@ -267,10 +301,6 @@ void run_search_job(const SuiteJob& job, const core::MultiOutputFunction& g,
   out.record.partitions_evaluated = result.partitions_evaluated;
   out.record.stored_bits = result.realize(g.num_inputs()).stored_entries();
   out.record.settings = result.settings;
-  if (result.status == util::RunStatus::kCompleted &&
-      !checkpoint_path.empty()) {
-    core::remove_checkpoint(checkpoint_path);
-  }
 }
 
 void run_one_job(const SuiteJob& job, SuiteState& state, ResultCache* cache,
@@ -310,7 +340,7 @@ void run_one_job(const SuiteJob& job, SuiteState& state, ResultCache* cache,
   if (job.algorithm == "round-in" || job.algorithm == "round-out") {
     run_rounding_job(job, g, dist, state.options->pool, out);
   } else {
-    run_search_job(job, g, dist, state, control, out);
+    run_suite_search(job, g, dist, state, control, out);
   }
   if (out.record.runtime_seconds == 0.0) {
     out.record.runtime_seconds = timer.seconds();

@@ -27,9 +27,14 @@
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "core/algorithm_common.hpp"
+#include "core/bit_cost.hpp"
+#include "core/checkpoint.hpp"
+#include "core/input_distribution.hpp"
 #include "core/table_io.hpp"
 #include "suite/manifest.hpp"
 #include "suite/result_cache.hpp"
@@ -106,6 +111,44 @@ struct SuiteReport {
 /// std::invalid_argument / std::runtime_error only for suite-level
 /// misconfiguration (no pool, unusable cache/checkpoint directory).
 SuiteReport run_suite(const Manifest& manifest, const SuiteOptions& options);
+
+// ---- One job -------------------------------------------------------------
+// The per-job steps run_suite takes, callable on their own: dalut_opt runs
+// its single search through these, so a one-job suite and a dalut_opt call
+// with the same parameters land on the same result.
+
+/// The function `job` optimizes: its truth-table file (read per `mode`) or
+/// its built-in benchmark at `job.width`. Throws std::invalid_argument for
+/// an unknown benchmark.
+core::MultiOutputFunction load_job_function(
+    const SuiteJob& job, core::TableLoadMode mode = core::TableLoadMode::kAuto);
+
+/// The objective a `metric` field names (med unless "mse" or "er").
+core::CostMetric metric_of(const std::string& name);
+
+/// `job.bound`, or 9/16 of `num_inputs` (at least 2, but always below
+/// `num_inputs`) when it is 0.
+unsigned effective_bound(const SuiteJob& job, unsigned num_inputs);
+
+/// The newest loadable generation of the search checkpoint at `path`
+/// (`path`, then "<path>.1", emitting checkpoint.fallback); nullopt when
+/// none loads.
+std::optional<core::LoadedCheckpoint> load_job_checkpoint(
+    const std::string& path);
+
+/// Runs the BS-SA (or, for algorithm=dalta, DALTA) search of `job` on `g`.
+/// With a non-empty `checkpoint_path` the search snapshots there every
+/// `checkpoint_every` bit-steps (best-effort: a failed save warns and the
+/// search goes on) and deletes the checkpoint once it completes. `resume`
+/// continues an earlier run; a checkpoint of different parameters throws
+/// std::invalid_argument, as does a bound-set size outside [1, inputs).
+core::DecompositionResult run_search_job(
+    const SuiteJob& job, const core::MultiOutputFunction& g,
+    const core::InputDistribution& dist, util::ThreadPool* pool,
+    util::RunControl& control, const std::string& checkpoint_path,
+    unsigned checkpoint_every, const core::SearchCheckpoint* resume);
+
+// ---- Reports -------------------------------------------------------------
 
 /// Deterministic aggregate report: one CSV row per job, manifest order,
 /// doubles at exact 17-digit round-trip precision. Contains no wall-clock

@@ -91,6 +91,18 @@ TEST(Bssa, RejectsModeSelectionWithOneRound) {
   EXPECT_THROW(run_bssa(g, dist, params), std::invalid_argument);
 }
 
+TEST(Bssa, RejectsBoundSetOutsideTheInputs) {
+  // Checked in release builds too: a bound set of width + 2 inputs used to
+  // index past the partition and crash.
+  const auto g = benchmark("cos", 6);
+  const auto dist = InputDistribution::uniform(6);
+  for (const unsigned bound : {0u, 6u, 8u}) {
+    auto params = small_params(1);
+    params.bound_size = bound;
+    EXPECT_THROW(run_bssa(g, dist, params), std::invalid_argument) << bound;
+  }
+}
+
 TEST(Bssa, BtoNormalPolicyYieldsOnlyBtoOrNormal) {
   const auto g = benchmark("cos", 8);
   const auto dist = InputDistribution::uniform(8);

@@ -38,6 +38,19 @@ TEST(Dalta, ProducesValidSettingsForEveryBit) {
   EXPECT_GE(result.runtime_seconds, 0.0);
 }
 
+TEST(Dalta, RejectsBoundSetOutsideTheInputsAndZeroRounds) {
+  const auto g = benchmark("cos", 6);
+  const auto dist = InputDistribution::uniform(6);
+  for (const unsigned bound : {0u, 6u, 8u}) {
+    auto params = small_params(1);
+    params.bound_size = bound;
+    EXPECT_THROW(run_dalta(g, dist, params), std::invalid_argument) << bound;
+  }
+  auto params = small_params(1);
+  params.rounds = 0;
+  EXPECT_THROW(run_dalta(g, dist, params), std::invalid_argument);
+}
+
 TEST(Dalta, ReportedMedMatchesRealizedLut) {
   const auto g = benchmark("exp", 8);
   const auto dist = InputDistribution::uniform(8);

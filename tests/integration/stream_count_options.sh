@@ -41,6 +41,7 @@ expect_usage width 2
 expect_usage width 25
 expect_usage width 40
 expect_usage width -1
+expect_usage listen not-a-port
 
 status=0
 timeout -k 5 20 "$dalut_stream" "${small[@]}" --batch 1 --reconfigs 1 \

@@ -130,6 +130,64 @@ TEST(SuiteRunner, FailedJobIsRecordedWithoutPoisoningSiblings) {
   EXPECT_NE(csv_of(report).find("failed"), std::string::npos);
 }
 
+TEST(SuiteRunner, OutOfRangeBoundSetIsQuarantined) {
+  // bound=9 at width=6 (and width=0's default bound) used to crash the
+  // whole suite, or "complete" with MED 0 and no stored bits.
+  const auto manifest = manifest_from_string(
+      "dalut-manifest v1\n"
+      "default width=6 rounds=1 partitions=8 patterns=4\n"
+      "job good benchmark=cos algorithm=bssa\n"
+      "job wide benchmark=cos algorithm=bssa bound=9\n"
+      "job wide-dalta benchmark=cos algorithm=dalta bound=6\n"
+      "job empty benchmark=cos algorithm=bssa width=0\n"
+      "job good-dalta benchmark=log2 algorithm=dalta\n"
+      "end\n");
+  util::ThreadPool pool(2);
+  SuiteOptions options;
+  options.pool = &pool;
+  const auto report = run_suite(manifest, options);
+  EXPECT_TRUE(report.any_failed);
+  for (const std::size_t good : {0u, 4u}) {
+    EXPECT_TRUE(report.outcomes[good].error.empty());
+    EXPECT_EQ(report.outcomes[good].status, util::RunStatus::kCompleted);
+    EXPECT_GT(report.outcomes[good].record.stored_bits, 0u);
+  }
+  for (const std::size_t bad : {1u, 2u, 3u}) {
+    EXPECT_NE(report.outcomes[bad].error.find("bound-set size"),
+              std::string::npos)
+        << report.outcomes[bad].error;
+  }
+}
+
+TEST(SuiteRunner, DefaultBoundStaysBelowTheInputs) {
+  const SuiteJob job;
+  EXPECT_EQ(effective_bound(job, 2), 1u);  // was 2: no free set at width 2
+  EXPECT_EQ(effective_bound(job, 3), 2u);
+  EXPECT_EQ(effective_bound(job, 12), 7u);
+  EXPECT_EQ(effective_bound(job, 26), 15u);
+}
+
+TEST(SuiteRunner, SearchJobRunsStandalone) {
+  // The per-job entry point dalut_opt calls lands on the suite's result.
+  const auto manifest = manifest_from_string(kManifest);
+  util::ThreadPool pool(2);
+  SuiteOptions options;
+  options.pool = &pool;
+  const auto report = run_suite(manifest, options);
+  for (const std::size_t i : {0u, 1u}) {
+    const SuiteJob& job = manifest.jobs[i];
+    const auto g = load_job_function(job);
+    util::RunControl control;
+    const auto result = run_search_job(
+        job, g, core::InputDistribution::uniform(g.num_inputs()), &pool,
+        control, "", 0, nullptr);
+    EXPECT_EQ(result.report.med, report.outcomes[i].record.med) << job.name;
+    EXPECT_EQ(result.realize(g.num_inputs()).stored_entries(),
+              report.outcomes[i].record.stored_bits)
+        << job.name;
+  }
+}
+
 TEST(SuiteRunner, PreTrippedMasterSkipsEveryJob) {
   const auto manifest = manifest_from_string(kManifest);
   util::ThreadPool pool(2);

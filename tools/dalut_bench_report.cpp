@@ -5,9 +5,9 @@
 // restart-blocked OptForPart (both return bit-identical results, so only the
 // time differs) — plus steady-state heap allocations per call (counted by a
 // global operator new hook in this binary), an end-to-end BS-SA / DALTA
-// subset of the table-2 experiment with candidates/sec, and a
-// telemetry-overhead comparison of the instrumented SA hot path with
-// metrics + tracing off vs. on. Results go to stdout or to `--out <path>`
+// subset of the table-2 experiment with candidates/sec, and the batched
+// stream kernels against the scalar simulator. (Telemetry overhead is
+// perfbench's trace.overhead_pct.) Results go to stdout or to `--out <path>`
 // (BENCH_PR2.json / BENCH_PR4.json in the repo record past PR numbers; see
 // docs/performance.md to regenerate).
 //
@@ -27,16 +27,13 @@
 #include "core/eval_workspace.hpp"
 #include "core/opt_for_part.hpp"
 #include "core/partition_opt.hpp"
-#include "core/sa_search.hpp"
 #include "core/two_dim_table.hpp"
 #include "func/registry.hpp"
 #include "hw/stream_engine.hpp"
 #include "util/cli.hpp"
 #include "util/simd.hpp"
-#include "util/telemetry.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
-#include "util/trace_writer.hpp"
 
 // ---- Allocation counting hook -------------------------------------------
 // Replaces the global allocation functions for this binary only. Counting
@@ -228,53 +225,6 @@ MicroResult bench_opt_for_part(unsigned width, unsigned runs) {
   return result;
 }
 
-struct TelemetryOverheadResult {
-  unsigned width = 0;
-  double off_ns = 0.0;
-  double on_ns = 0.0;
-};
-
-TelemetryOverheadResult bench_telemetry_overhead(unsigned width,
-                                                 unsigned runs) {
-  // The instrumented SA hot path: find_best_settings drives OptForPart per
-  // candidate and carries the sa.* counters and sweep spans. Timed with
-  // telemetry off, then with metrics + tracing on; the acceptance bound on
-  // the delta is < 2% (docs/observability.md).
-  const auto g = make_function("cos", width);
-  const auto dist = core::InputDistribution::uniform(width);
-  const auto costs = core::build_bit_costs(
-      g, g.values(), width - 1, core::LsbModel::kPredictive, dist);
-  core::SaParams params;
-  params.partition_limit = 20;
-  params.init_patterns = 8;
-  params.chains = 3;
-  auto body = [&] {
-    // Fresh RNG per call: off and on time the exact same search, so the
-    // delta is pure telemetry cost, not seed-dependent search variance.
-    util::Rng rng(6);
-    auto found = core::find_best_settings(width, bound_size_for(width),
-                                          costs.c0, costs.c1, 3, params, rng,
-                                          nullptr, false);
-    volatile double sink = found.top.empty() ? 0.0 : found.top[0].error;
-    (void)sink;
-  };
-  const std::size_t iters = 4;
-
-  TelemetryOverheadResult result;
-  result.width = width;
-  util::telemetry::set_metrics_enabled(false);
-  util::telemetry::set_tracing_enabled(false);
-  result.off_ns = time_ns(runs, iters, body);
-  util::telemetry::set_metrics_enabled(true);
-  util::telemetry::set_tracing_enabled(true);
-  result.on_ns = time_ns(runs, iters, body);
-  util::telemetry::set_metrics_enabled(false);
-  util::telemetry::set_tracing_enabled(false);
-  util::telemetry::reset_metrics_for_test();
-  util::telemetry::reset_tracing_for_test();
-  return result;
-}
-
 struct StreamMicroResult {
   unsigned width = 0;
   double scalar_ns = 0.0;   ///< simulate() per read
@@ -367,7 +317,6 @@ std::vector<Table2Result> bench_table2(unsigned width, unsigned runs,
 // ---- JSON emission ------------------------------------------------------
 
 void write_json(std::FILE* out, const std::vector<MicroResult>& micro,
-                const TelemetryOverheadResult& telemetry,
                 const StreamMicroResult& stream,
                 const std::vector<Table2Result>& table2, unsigned runs,
                 bool micro_only, std::size_t workers) {
@@ -395,16 +344,6 @@ void write_json(std::FILE* out, const std::vector<MicroResult>& micro,
                  m.new_allocs, i + 1 < micro.size() ? "," : "");
   }
   std::fprintf(out, "  ],\n");
-
-  std::fprintf(out,
-               "  \"telemetry_overhead\": {\"width\": %u, "
-               "\"off_ns_per_call\": %.1f, \"on_ns_per_call\": %.1f, "
-               "\"overhead_percent\": %.3f},\n",
-               telemetry.width, telemetry.off_ns, telemetry.on_ns,
-               telemetry.off_ns > 0
-                   ? 100.0 * (telemetry.on_ns - telemetry.off_ns) /
-                         telemetry.off_ns
-                   : 0.0);
 
   std::fprintf(out,
                "  \"stream\": {\"width\": %u, \"scalar_ns_per_read\": %.2f, "
@@ -459,8 +398,6 @@ int main(int argc, char** argv) {
     micro.push_back(bench_opt_for_part(w, runs));
   }
 
-  const TelemetryOverheadResult telemetry = bench_telemetry_overhead(10, runs);
-
   // Runs under --micro-only too: CI's smoke keys on bit_identical.
   const StreamMicroResult stream = bench_stream_micro(12, runs);
 
@@ -482,12 +419,6 @@ int main(int argc, char** argv) {
                stream.batched_ns > 0 ? stream.scalar_ns / stream.batched_ns
                                      : 0.0,
                stream.bit_identical ? "yes" : "NO");
-  std::fprintf(stderr, "telemetry      n=%-2u  off %10.0f ns  on  %10.0f ns  %+.2f%%\n",
-               telemetry.width, telemetry.off_ns, telemetry.on_ns,
-               telemetry.off_ns > 0
-                   ? 100.0 * (telemetry.on_ns - telemetry.off_ns) /
-                         telemetry.off_ns
-                   : 0.0);
 
   const std::string out_path = cli.str("out");
   std::FILE* out =
@@ -496,7 +427,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "cannot open %s\n", out_path.c_str());
     return 1;
   }
-  write_json(out, micro, telemetry, stream, table2, runs, micro_only,
+  write_json(out, micro, stream, table2, runs, micro_only,
              workers);
   if (out != stdout) {
     std::fclose(out);

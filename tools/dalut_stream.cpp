@@ -30,11 +30,10 @@
 #include "core/bssa.hpp"
 #include "func/registry.hpp"
 #include "hw/stream_engine.hpp"
-#include "obs/exporter.hpp"
+#include "session.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
 #include "util/simd.hpp"
-#include "util/telemetry.hpp"
 #include "util/timer.hpp"
 
 namespace {
@@ -242,9 +241,7 @@ void write_json(std::FILE* out, const std::vector<StreamRow>& rows,
   std::fprintf(out, "}\n");
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   util::CliParser cli(
       "Benchmarks the batched streaming engine against the scalar simulator "
       "and times runtime LUT reconfiguration; emits schema-v4 JSON.");
@@ -299,24 +296,9 @@ int main(int argc, char** argv) {
   config.batch_size = static_cast<std::size_t>(cli.integer("batch"));
   config.ring_capacity = static_cast<std::size_t>(cli.integer("ring"));
 
-  obs::MetricsExporter exporter;
-  const auto listen_spec = cli.str("listen");
-  if (!listen_spec.empty()) {
-    util::telemetry::set_metrics_enabled(true);
-    try {
-      const auto [host, port] = obs::parse_listen_spec(listen_spec);
-      obs::ExporterOptions exporter_options;
-      exporter_options.host = host;
-      exporter_options.port = port;
-      exporter.start(exporter_options);
-    } catch (const std::exception& error) {
-      std::fprintf(stderr, "error: %s\n", error.what());
-      return 1;
-    }
-    std::fprintf(stderr, "observability: listening on http://%s (/metrics)\n",
-                 exporter.endpoint().c_str());
-    std::fflush(stderr);
-  }
+  // --listen only: a malformed spec exits 2 like the other tools; signals
+  // keep their default action.
+  const tools::Session session(cli, stderr, tools::Session::Scope::kListenOnly);
 
   try {
     const auto tech = hw::Technology::nangate45();
@@ -437,4 +419,10 @@ int main(int argc, char** argv) {
     return 1;
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return tools::run_main([&] { return run(argc, argv); });
 }
